@@ -46,6 +46,7 @@ from .hodge import (
 )
 from .kmz import KmzOracle
 from .multiindex import MultiIndex, indices_of_weight
+from .numbers import moduli_dim
 from .series import shift_check
 from .sweeps import (
     closed_volume_indices,
@@ -57,29 +58,6 @@ from .sweeps import (
     volume_signatures,
 )
 from .volumes import VolumeEngine, check_kdv_identity, check_shift_identity
-
-_SUITES = (
-    "oracle",
-    "transfer",
-    "string",
-    "dilaton",
-    "kdv",
-    "rshift",
-    "volume",
-    "shift",
-    "hodge",
-    "cache",
-)
-
-_DEFAULT_DIMS = {
-    "oracle": 7,
-    "transfer": 6,
-    "string": 6,
-    "dilaton": 6,
-    "kdv": 6,
-    "rshift": 6,
-    "volume": 7,
-}
 
 
 def _parse_psi(text: str) -> tuple[int, ...]:
@@ -151,10 +129,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     value = engine.correlator(key.genus, key.kappa, key.psi)
     if cache_path is not None:
         save_new_records(cache_path, engine.memo)
-    n = len(key.psi)
-    in_dimension = (
-        2 * key.genus - 2 + n > 0
-        and key.kappa.weight + sum(key.psi) == 3 * key.genus - 3 + n
+    in_dimension = key.kappa.weight + sum(key.psi) == moduli_dim(
+        key.genus, len(key.psi)
     )
     if args.strict and not in_dimension:
         print(
@@ -221,19 +197,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     else:
         volumes = VolumeEngine()
         header = ("genus", "n", "kappa", "value")
-        rows = []
-        for genus in range(args.max_genus + 1):
-            for n in range(args.max_n + 1):
-                if n == 0 and genus < 2:
-                    continue
-                if n >= 1 and 2 * genus - 2 + n <= 0:
-                    continue
-                dim = 3 * genus - 3 + n
-                if dim < 0:
-                    continue
-                for b in indices_of_weight(dim):
-                    value = volumes.volume(genus, n, b)
-                    rows.append((genus, n, b.to_text(), str(value)))
+        # An unstable (g, n) has dimension -1, which no kappa index fills.
+        rows = [
+            (genus, n, b.to_text(), str(volumes.volume(genus, n, b)))
+            for genus in range(args.max_genus + 1)
+            for n in range(args.max_n + 1)
+            for b in indices_of_weight(moduli_dim(genus, n))
+        ]
     if args.json:
         print(
             json.dumps([dict(zip(header, row)) for row in rows], sort_keys=True)
@@ -249,110 +219,122 @@ def _signature_text(genus: int, kappa: MultiIndex, psi) -> str:
     return CorrelatorKey.make(genus, kappa, psi).text()
 
 
-def _run_oracle(args: argparse.Namespace, max_dim: int):
+# A sweep case is (name, lhs, rhs, sides): the values two routes give for
+# one signature, and the labels that name those routes in a FAIL line.
+_IDENTITY = ("", "")
+
+
+def _sweep(cases, positive: bool = False):
+    """Suite runner: count the cases and stop at the first mismatch."""
+
+    def run(args: argparse.Namespace, max_dim: int):
+        count = 0
+        for count, (name, lhs, rhs, (left, right)) in enumerate(
+            cases(args, max_dim), start=1
+        ):
+            if lhs != rhs:
+                return False, count, f"{name}: {left}{lhs} != {right}{rhs}"
+            if positive and lhs <= 0:
+                return False, count, f"{name}: expected a positive value, got {lhs}"
+        return True, count, None
+
+    return run
+
+
+def _oracle_cases(args: argparse.Namespace, max_dim: int):
     engine = CorrelatorEngine()
     oracle = KmzOracle()
-    count = 0
     for genus, kappa, psi in correlator_signatures(max_dim):
-        count += 1
-        lhs = engine.correlator(genus, kappa, psi)
-        rhs = oracle.kmz_expand(genus, kappa, psi)
-        name = _signature_text(genus, kappa, psi)
-        if lhs != rhs:
-            return False, count, f"{name}: engine {lhs} != expansion {rhs}"
-        if lhs <= 0:
-            return False, count, f"{name}: expected a positive value, got {lhs}"
-    return True, count, None
+        yield (
+            _signature_text(genus, kappa, psi),
+            engine.correlator(genus, kappa, psi),
+            oracle.kmz_expand(genus, kappa, psi),
+            ("engine ", "expansion "),
+        )
 
 
-def _run_transfer(args: argparse.Namespace, max_dim: int):
+def _identity_cases(check, signatures):
     engine = CorrelatorEngine()
-    count = 0
-    for genus, kappa, psi in correlator_signatures(max_dim, min_n=1):
-        if CorrelatorKey.make(genus, kappa, psi) in INITIAL_VALUES:
-            continue
-        count += 1
-        report = check_transfer_identity(engine, genus, kappa, psi)
-        if not report.equal:
-            name = _signature_text(genus, kappa, psi)
-            return False, count, f"{name}: {report.lhs} != {report.rhs}"
-    return True, count, None
+    for genus, kappa, psi in signatures:
+        report = check(engine, genus, kappa, psi)
+        yield _signature_text(genus, kappa, psi), report.lhs, report.rhs, _IDENTITY
 
 
-def _run_string(args: argparse.Namespace, max_dim: int):
+def _transfer_cases(args: argparse.Namespace, max_dim: int):
+    signatures = (
+        sig
+        for sig in correlator_signatures(max_dim, min_n=1)
+        if CorrelatorKey.make(*sig) not in INITIAL_VALUES
+    )
+    return _identity_cases(check_transfer_identity, signatures)
+
+
+def _string_cases(args: argparse.Namespace, max_dim: int):
+    signatures = correlator_signatures(max_dim, min_n=0, shell=1)
+    return _identity_cases(check_string_identity, signatures)
+
+
+def _dilaton_cases(args: argparse.Namespace, max_dim: int):
+    signatures = correlator_signatures(max_dim, min_n=0)
+    return _identity_cases(check_dilaton_identity, signatures)
+
+
+def _kdv_cases(args: argparse.Namespace, max_dim: int):
+    return _identity_cases(check_kdv_identity, kdv_cases(max_dim))
+
+
+def _rshift_cases(args: argparse.Namespace, max_dim: int):
     engine = CorrelatorEngine()
-    count = 0
-    for genus, kappa, psi in correlator_signatures(max_dim, min_n=0, shell=1):
-        count += 1
-        report = check_string_identity(engine, genus, kappa, psi)
-        if not report.equal:
-            name = _signature_text(genus, kappa, psi)
-            return False, count, f"{name}: {report.lhs} != {report.rhs}"
-    return True, count, None
-
-
-def _run_dilaton(args: argparse.Namespace, max_dim: int):
-    engine = CorrelatorEngine()
-    count = 0
-    for genus, kappa, psi in correlator_signatures(max_dim, min_n=0):
-        count += 1
-        report = check_dilaton_identity(engine, genus, kappa, psi)
-        if not report.equal:
-            name = _signature_text(genus, kappa, psi)
-            return False, count, f"{name}: {report.lhs} != {report.rhs}"
-    return True, count, None
-
-
-def _run_kdv(args: argparse.Namespace, max_dim: int):
-    engine = CorrelatorEngine()
-    count = 0
-    for genus, kappa, psi in kdv_cases(max_dim):
-        count += 1
-        report = check_kdv_identity(engine, genus, kappa, psi)
-        if not report.equal:
-            name = _signature_text(genus, kappa, psi)
-            return False, count, f"{name}: {report.lhs} != {report.rhs}"
-    return True, count, None
-
-
-def _run_rshift(args: argparse.Namespace, max_dim: int):
-    engine = CorrelatorEngine()
-    count = 0
     for genus, kappa, psi, r in rshift_cases(max_dim):
-        count += 1
         report = check_shift_identity(engine, genus, kappa, psi, r)
-        if not report.equal:
-            name = _signature_text(genus, kappa, psi)
-            return False, count, f"{name} (r={r}): {report.lhs} != {report.rhs}"
-    return True, count, None
+        name = f"{_signature_text(genus, kappa, psi)} (r={r})"
+        yield name, report.lhs, report.rhs, _IDENTITY
 
 
-def _run_volume(args: argparse.Namespace, max_dim: int):
+def _volume_cases(args: argparse.Namespace, max_dim: int):
     volumes = VolumeEngine()
     engine = CorrelatorEngine()
-    count = 0
+    sides = ("volume ", "correlator ")
     for genus, n, kappa in volume_signatures(max_dim):
-        count += 1
-        lhs = volumes.volume(genus, n, kappa)
-        rhs = engine.correlator(genus, kappa, (0,) * n)
-        if lhs != rhs:
-            name = f"V_{{{genus},{n}}}({kappa.to_text() or '1'})"
-            return False, count, f"{name}: volume {lhs} != correlator {rhs}"
+        yield (
+            f"V_{{{genus},{n}}}({kappa.to_text() or '1'})",
+            volumes.volume(genus, n, kappa),
+            engine.correlator(genus, kappa, (0,) * n),
+            sides,
+        )
     for genus in range(2, (max_dim + 3) // 3 + 1):
         cap = 4 if genus >= 3 else None
         for kappa in closed_volume_indices(genus, max_length=cap):
-            count += 1
-            lhs = volumes.volume_closed(genus, kappa)
-            rhs = engine.correlator(genus, kappa, ())
-            if lhs != rhs:
-                name = f"V_{{{genus}}}({kappa.to_text()})"
-                return False, count, f"{name}: volume {lhs} != correlator {rhs}"
-    return True, count, None
+            yield (
+                f"V_{{{genus}}}({kappa.to_text()})",
+                volumes.volume_closed(genus, kappa),
+                engine.correlator(genus, kappa, ()),
+                sides,
+            )
+
+
+def _hodge_cases(args: argparse.Namespace, max_dim: int):
+    provider = FileBaseValues(args.provider) if args.provider else None
+    engine = HodgeEngine(provider)
+    for genus, tag, kappa, psi in hodge_signatures(args.max_genus):
+        yield (
+            f"{_signature_text(genus, kappa, psi)}|{tag}",
+            engine.correlator(genus, tag, kappa, psi),
+            engine.correlator_direct(genus, tag, kappa, psi),
+            ("expansion ", "direct "),
+        )
+    for genus, tag, d, d0, rest in pairing_reduction_cases(
+        min(args.max_genus, 3)
+    ):
+        report = check_pairing_reduction(engine, genus, tag, d, d0, rest)
+        name = f"g={genus} {tag} d={d} d0={d0} rest={rest}"
+        yield name, report.lhs, report.rhs, _IDENTITY
 
 
 def _run_shift(args: argparse.Namespace, max_dim: int):
+    t_vars = args.cutoff + 1 if args.t_vars is None else args.t_vars
     report = shift_check(
-        args.cutoff, args.s_vars, args.t_vars, CorrelatorEngine(), KmzOracle()
+        args.cutoff, args.s_vars, t_vars, CorrelatorEngine(), KmzOracle()
     )
     if report.equal:
         return True, report.cases, None
@@ -364,28 +346,6 @@ def _run_shift(args: argparse.Namespace, max_dim: int):
     )
 
 
-def _run_hodge(args: argparse.Namespace, max_dim: int):
-    provider = FileBaseValues(args.provider) if args.provider else None
-    engine = HodgeEngine(provider)
-    count = 0
-    for genus, tag, kappa, psi in hodge_signatures(args.max_genus):
-        count += 1
-        lhs = engine.correlator(genus, tag, kappa, psi)
-        rhs = engine.correlator_direct(genus, tag, kappa, psi)
-        if lhs != rhs:
-            name = f"{_signature_text(genus, kappa, psi)}|{tag}"
-            return False, count, f"{name}: expansion {lhs} != direct {rhs}"
-    for genus, tag, d, d0, rest in pairing_reduction_cases(
-        min(args.max_genus, 3)
-    ):
-        count += 1
-        report = check_pairing_reduction(engine, genus, tag, d, d0, rest)
-        if not report.equal:
-            name = f"g={genus} {tag} d={d} d0={d0} rest={rest}"
-            return False, count, f"{name}: {report.lhs} != {report.rhs}"
-    return True, count, None
-
-
 def _run_cache(args: argparse.Namespace, max_dim: int):
     path = args.cache or default_cache_path()
     if not path:
@@ -393,17 +353,20 @@ def _run_cache(args: argparse.Namespace, max_dim: int):
     return check_cache(path)
 
 
-_SUITE_RUNNERS = {
-    "oracle": _run_oracle,
-    "transfer": _run_transfer,
-    "string": _run_string,
-    "dilaton": _run_dilaton,
-    "kdv": _run_kdv,
-    "rshift": _run_rshift,
-    "volume": _run_volume,
-    "shift": _run_shift,
-    "hodge": _run_hodge,
-    "cache": _run_cache,
+# name: (default --max-dim, runner(args, max_dim) -> (ok, cases, detail)).
+# The suites without a default size ignore --max-dim: shift is sized by
+# --cutoff, hodge by --max-genus, cache by the file it checks.
+SUITES = {
+    "oracle": (7, _sweep(_oracle_cases, positive=True)),
+    "transfer": (6, _sweep(_transfer_cases)),
+    "string": (6, _sweep(_string_cases)),
+    "dilaton": (6, _sweep(_dilaton_cases)),
+    "kdv": (6, _sweep(_kdv_cases)),
+    "rshift": (6, _sweep(_rshift_cases)),
+    "volume": (7, _sweep(_volume_cases)),
+    "shift": (None, _run_shift),
+    "hodge": (None, _sweep(_hodge_cases)),
+    "cache": (None, _run_cache),
 }
 
 
@@ -416,11 +379,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = sorted(set(picked))
     if len(names) != 1:
         raise ValueError("choose exactly one suite (--suite NAME)")
-    suite = names[0]
-    max_dim = args.max_dim
-    if max_dim is None:
-        max_dim = _DEFAULT_DIMS.get(suite, 6)
-    ok, cases, detail = _SUITE_RUNNERS[suite](args, max_dim)
+    default_dim, run = SUITES[names[0]]
+    max_dim = default_dim if args.max_dim is None else args.max_dim
+    ok, cases, detail = run(args, max_dim)
     if ok:
         print(f"PASS ({cases} cases)")
         return 0
@@ -510,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=_cmd_table)
 
     verify = sub.add_parser("verify", help="run a consistency sweep")
-    verify.add_argument("--suite", choices=_SUITES)
+    verify.add_argument("--suite", choices=tuple(SUITES))
     verify.add_argument(
         "--oracle", action="store_true", help="shorthand for --suite oracle"
     )
@@ -520,7 +481,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-dim", type=int, default=None)
     verify.add_argument("--cutoff", type=int, default=6)
     verify.add_argument("--s-vars", type=int, default=3)
-    verify.add_argument("--t-vars", type=int, default=7)
+    verify.add_argument(
+        "--t-vars", type=int, default=None, help="default: cutoff + 1"
+    )
     verify.add_argument("--max-genus", type=int, default=3)
     verify.add_argument("--provider", metavar="PATH")
     verify.add_argument("--cache", metavar="PATH")

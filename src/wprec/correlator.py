@@ -34,7 +34,7 @@ from .multiindex import (
     splits3,
     subsets,
 )
-from .numbers import double_factorial
+from .numbers import double_factorial, moduli_dim
 
 _HALF = Fraction(1, 2)
 
@@ -98,19 +98,17 @@ class CorrelatorEngine:
 
         The recursion is valid around any distinguished insertion, not just
         the largest; `pivot` is a position into the canonical descending
-        exponent tuple. Seeds and n = 0 signatures take their usual route.
+        exponent tuple. Seeds, n = 0 and off-shell signatures take their usual
+        route.
         """
         key = CorrelatorKey.make(genus, kappa, psi)
-        if not key.psi:
-            return self._value(key)
-        if not 0 <= pivot < len(key.psi):
+        if key.psi and not 0 <= pivot < len(key.psi):
             raise ValueError(f"pivot {pivot} out of range for {key.psi}")
-        n = len(key.psi)
-        if 2 * genus - 2 + n <= 0:
-            return Fraction(0)
-        if key.kappa.weight + sum(key.psi) != 3 * genus - 3 + n:
-            return Fraction(0)
-        if self._seed(key) is not None:
+        if (
+            not key.psi
+            or self._seed(key) is not None
+            or key.kappa.weight + sum(key.psi) != moduli_dim(genus, len(key.psi))
+        ):
             return self._value(key)
         return self._pivot_eval(key.genus, key.kappa, key.psi, pivot)
 
@@ -121,9 +119,7 @@ class CorrelatorEngine:
     def _value(self, key: CorrelatorKey) -> Fraction:
         g, b, d = key
         n = len(d)
-        if 2 * g - 2 + n <= 0:
-            return Fraction(0)
-        if b.weight + sum(d) != 3 * g - 3 + n:
+        if b.weight + sum(d) != moduli_dim(g, n):
             return Fraction(0)
         found = self.memo.get(key)
         if found is not None:

@@ -178,15 +178,12 @@ class HodgeEngine:
 
     @staticmethod
     def _gated(genus, tag, kappa, exps) -> bool:
-        n = len(exps)
-        if 2 * genus - 2 + n <= 0:
-            return True
-        return kappa.weight + sum(exps) != pairing_degree(tag, genus, n)
+        # Genus >= 1 leaves (1, 0) the only unstable signature, and its
+        # pairing degree is -1, so the degree test alone gates it.
+        return kappa.weight + sum(exps) != pairing_degree(tag, genus, len(exps))
 
     def _pure(self, genus: int, tag: str, exps: tuple[int, ...]) -> Fraction:
         n = len(exps)
-        if 2 * genus - 2 + n <= 0:
-            return Fraction(0)
         if sum(exps) != pairing_degree(tag, genus, n):
             return Fraction(0)
         key = (self.provider.fingerprint, tag, genus, exps)

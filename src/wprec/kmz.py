@@ -22,7 +22,7 @@ from .multiindex import (
     multiset_splits,
     ordered_nonempty_partitions,
 )
-from .numbers import double_factorial, factorial
+from .numbers import double_factorial, factorial, moduli_dim
 
 _HALF = Fraction(1, 2)
 
@@ -77,10 +77,7 @@ class KmzOracle:
         return self._pure(genus, exps)
 
     def _pure(self, genus: int, exps: tuple[int, ...]) -> Fraction:
-        n = len(exps)
-        if 2 * genus - 2 + n <= 0:
-            return Fraction(0)
-        if sum(exps) != 3 * genus - 3 + n:
+        if sum(exps) != moduli_dim(genus, len(exps)):
             return Fraction(0)
         if genus == 0 and exps == (0, 0, 0):
             return Fraction(1)
@@ -160,10 +157,7 @@ class KmzOracle:
         exps = tuple(sorted(psi, reverse=True))
         if exps and exps[-1] < 0:
             raise ValueError(f"negative psi exponent in {exps}")
-        n = len(exps)
-        if 2 * genus - 2 + n <= 0:
-            return Fraction(0)
-        if kappa.weight + sum(exps) != 3 * genus - 3 + n:
+        if kappa.weight + sum(exps) != moduli_dim(genus, len(exps)):
             return Fraction(0)
         if not kappa:
             return self._pure(genus, exps)
@@ -185,10 +179,7 @@ class KmzOracle:
         if genus < 0:
             raise ValueError(f"negative genus {genus}")
         exps = tuple(sorted(psi, reverse=True))
-        n = len(exps)
-        if 2 * genus - 2 + n <= 0:
-            return Fraction(0)
-        if kappa.weight + sum(exps) != 3 * genus - 3 + n:
+        if kappa.weight + sum(exps) != moduli_dim(genus, len(exps)):
             return Fraction(0)
         if not kappa:
             return self._pure(genus, exps)

@@ -3,7 +3,8 @@
 Double factorials, Bernoulli and Euler numbers are served from memoized
 growing tables. Table extension is serialized with a lock; reads are
 lock-free (lists only grow, and CPython list appends are atomic).
-Everything returns ints or Fractions, never floats.
+Everything returns ints or Fractions, never floats. moduli_dim is the one
+stability and dimension gate that every route applies.
 """
 
 from __future__ import annotations
@@ -29,6 +30,17 @@ def double_factorial(k: int) -> int:
                 n = len(_DFACT) - 1
                 _DFACT.append(n * _DFACT[n - 1])
     return _DFACT[k + 1]
+
+
+def moduli_dim(genus: int, n: int) -> int:
+    """3g - 3 + n for a stable (g, n), that is 2g - 2 + n > 0; else -1.
+
+    Degrees are nonnegative, so ``degree != moduli_dim(g, n)`` alone says
+    a class vanishes: the signature is unstable or off-dimension.
+    """
+    if 2 * genus - 2 + n > 0:
+        return 3 * genus - 3 + n
+    return -1
 
 
 def factorial(n: int) -> int:

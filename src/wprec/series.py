@@ -26,7 +26,7 @@ from .constants import shift_polynomial
 from .correlator import CorrelatorEngine
 from .kmz import KmzOracle
 from .multiindex import MultiIndex, indices_of_weight
-from .numbers import factorial
+from .numbers import factorial, moduli_dim
 
 MonomialKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -265,9 +265,8 @@ def _descendant_patterns(
             if leftover % 3:
                 continue
             genus = leftover // 3
-            if 2 * genus - 2 + n <= 0:
-                continue
-            yield genus, (n0,) + parts
+            if extra_weight + w == moduli_dim(genus, n):
+                yield genus, (n0,) + parts
 
 
 def _pattern_exponents(te: tuple[int, ...]) -> tuple[int, ...]:
@@ -356,7 +355,16 @@ def shift_check(
 
     The pure series is built internally at twice the cutoff so the
     weight-lowering substitution is exact for every surviving coefficient.
+    The algebra stops at t_T, so the shifts of t_k with k > T are dropped.
+    The first of them has weight max(T, 1); with kappa variables present
+    its terms would show as mismatches if that weight is within the cutoff,
+    so such a check is refused rather than reported as failed.
     """
+    if s_vars and max(t_vars, 1) <= cutoff:
+        raise ValueError(
+            f"the shift check at cutoff {cutoff} with kappa variables"
+            f" needs t_vars >= {cutoff + 1}, got {t_vars}"
+        )
     mixed = build_mixed_series(cutoff, s_vars, t_vars, engine)
     source = build_psi_series(2 * cutoff, s_vars, t_vars, oracle)
     if shifts is None:

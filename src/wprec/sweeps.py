@@ -13,6 +13,7 @@ from typing import Iterator
 
 from .hodge import LAMBDA_G, LAMBDA_G_GM1, pairing_degree
 from .multiindex import MultiIndex, indices_of_weight
+from .numbers import moduli_dim
 
 
 def partitions(
@@ -44,9 +45,7 @@ def psi_lists(total: int, n: int) -> Iterator[tuple[int, ...]]:
 def _stable_windows(max_dim: int, min_n: int) -> Iterator[tuple[int, int, int]]:
     for genus in range((max_dim + 3) // 3 + 1):
         for n in range(min_n, max_dim - 3 * genus + 4):
-            if 2 * genus - 2 + n <= 0:
-                continue
-            dim = 3 * genus - 3 + n
+            dim = moduli_dim(genus, n)
             if 0 <= dim <= max_dim:
                 yield genus, n, dim
 
@@ -92,8 +91,6 @@ def hodge_signatures(
     for genus in range(1, max_genus + 1):
         for tag in (LAMBDA_G_GM1, LAMBDA_G):
             for n in range(max_n + 1):
-                if 2 * genus - 2 + n <= 0:
-                    continue
                 degree = pairing_degree(tag, genus, n)
                 if degree < 0:
                     continue
@@ -103,39 +100,36 @@ def hodge_signatures(
                             yield genus, tag, kappa, psi
 
 
+def _extension_windows(max_dim: int) -> Iterator[tuple[int, int, int]]:
+    """(genus, n, shell) whose extension to (g, n + 2) is stable, dim <= max_dim.
+
+    shell = dim - 1 is the degree left once the added tau_1 is placed.
+    """
+    for genus, n, dim in _stable_windows(max_dim, 2):
+        yield genus, n - 2, dim - 1
+
+
 def kdv_cases(
     max_dim: int,
 ) -> Iterator[tuple[int, MultiIndex, tuple[int, ...]]]:
     """(genus, kappa, psi) whose tau_0 tau_1 extension is in-dimension."""
-    for genus in range((max_dim + 1) // 3 + 1):
-        for n in range(max_dim - 3 * genus + 2):
-            if 2 * genus + n <= 0:
-                continue
-            if not 0 <= 3 * genus - 1 + n <= max_dim:
-                continue
-            shell = 3 * genus - 2 + n
-            for w in range(shell + 1):
-                for kappa in indices_of_weight(w):
-                    for psi in psi_lists(shell - w, n):
-                        yield genus, kappa, psi
+    for genus, n, shell in _extension_windows(max_dim):
+        for w in range(shell + 1):
+            for kappa in indices_of_weight(w):
+                for psi in psi_lists(shell - w, n):
+                    yield genus, kappa, psi
 
 
 def rshift_cases(
     max_dim: int,
 ) -> Iterator[tuple[int, MultiIndex, tuple[int, ...], int]]:
     """(genus, kappa, psi, r) whose tau_1 tau_r extension is in-dimension."""
-    for genus in range((max_dim + 1) // 3 + 1):
-        for n in range(max_dim - 3 * genus + 2):
-            if 2 * genus + n <= 0:
-                continue
-            if not 0 <= 3 * genus - 1 + n <= max_dim:
-                continue
-            shell = 3 * genus - 2 + n
-            for w in range(shell + 1):
-                for kappa in indices_of_weight(w):
-                    for partial in range(shell - w + 1):
-                        for psi in psi_lists(partial, n):
-                            yield genus, kappa, psi, shell - w - partial
+    for genus, n, shell in _extension_windows(max_dim):
+        for w in range(shell + 1):
+            for kappa in indices_of_weight(w):
+                for partial in range(shell - w + 1):
+                    for psi in psi_lists(partial, n):
+                        yield genus, kappa, psi, shell - w - partial
 
 
 def pairing_reduction_cases(

@@ -27,7 +27,7 @@ from .multiindex import (
     splits3,
     subsets,
 )
-from .numbers import binomial, double_factorial, factorial
+from .numbers import binomial, double_factorial, factorial, moduli_dim
 
 _HALF = Fraction(1, 2)
 
@@ -47,14 +47,10 @@ class VolumeEngine:
             raise ValueError(f"negative point count {n}")
         if not isinstance(kappa, MultiIndex):
             kappa = MultiIndex(kappa)
+        if kappa.weight != moduli_dim(genus, n):
+            return Fraction(0)
         if n == 0:
-            if genus < 2:
-                return Fraction(0)
             return self.volume_closed(genus, kappa)
-        if 2 * genus - 2 + n <= 0:
-            return Fraction(0)
-        if kappa.weight != 3 * genus - 3 + n:
-            return Fraction(0)
         key = (genus, n, kappa)
         found = self._open_memo.get(key)
         if found is not None:
@@ -98,7 +94,7 @@ class VolumeEngine:
             raise ValueError(f"closed volumes need genus >= 2, got {genus}")
         if not isinstance(kappa, MultiIndex):
             kappa = MultiIndex(kappa)
-        if kappa.weight != 3 * genus - 3:
+        if kappa.weight != moduli_dim(genus, 0):
             return Fraction(0)
         key = (genus, kappa)
         found = self._closed_memo.get(key)
@@ -173,7 +169,7 @@ def check_expanded_volume(volumes: VolumeEngine, genus: int, n: int, kappa) -> I
         kappa = MultiIndex(kappa)
     if n < 1:
         raise ValueError("the expanded form needs n >= 1")
-    if kappa.weight != 3 * genus - 3 + n:
+    if kappa.weight != moduli_dim(genus, n):
         raise ValueError("the expanded form applies on-dimension only")
     lhs = volumes.volume(genus, n, kappa)
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from wprec.cli import main
+from wprec.kmz import KmzOracle
 
 
 def run(capsys, *argv):
@@ -199,3 +200,42 @@ def test_unknown_arguments_exit_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "-g", "1", "--nope"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("--suite", "oracle", "--max-dim", "4"), "PASS (87 cases)\n"),
+        (("--suite", "transfer", "--max-dim", "4"), "PASS (84 cases)\n"),
+        (("--suite", "string", "--max-dim", "4"), "PASS (164 cases)\n"),
+        (("--suite", "dilaton", "--max-dim", "4"), "PASS (90 cases)\n"),
+        (("--suite", "kdv", "--max-dim", "4"), "PASS (32 cases)\n"),
+        (("--suite", "rshift", "--max-dim", "4"), "PASS (56 cases)\n"),
+        (("--suite", "volume", "--max-dim", "4"), "PASS (31 cases)\n"),
+        (("--suite", "hodge", "--max-genus", "2"), "PASS (121 cases)\n"),
+        (("--shift", "--cutoff", "3", "--t-vars", "4"), "PASS (38 cases)\n"),
+        (("--shift", "--cutoff", "3"), "PASS (38 cases)\n"),
+    ],
+)
+def test_verify_golden_output(capsys, argv, out):
+    assert run(capsys, "verify", *argv) == (0, out, "")
+
+
+def test_verify_fail_line_names_first_mismatch(capsys, monkeypatch):
+    expand = KmzOracle.kmz_expand
+    monkeypatch.setattr(
+        KmzOracle, "kmz_expand", lambda self, *a: expand(self, *a) + 1
+    )
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-dim", "1")
+    assert code == 1
+    assert out == "FAIL after 1 cases: 0||0,0,0: engine 1 != expansion 2\n"
+
+
+def test_verify_shift_refuses_too_few_t_vars(capsys):
+    # At cutoff 3 the dropped t_4 shift has weight 3: a usage error, not a
+    # FAIL of the identity.
+    code, out, err = run(
+        capsys, "verify", "--shift", "--cutoff", "3", "--t-vars", "3"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("wprec: ") and "t_vars >= 4" in err

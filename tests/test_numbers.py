@@ -11,6 +11,7 @@ from wprec.numbers import (
     double_factorial,
     euler_number,
     factorial,
+    moduli_dim,
     multinomial,
 )
 
@@ -142,3 +143,12 @@ def test_euler_against_boustrophedon_oracle():
 def test_euler_rejects_negative():
     with pytest.raises(ValueError):
         euler_number(-1)
+
+
+def test_moduli_dim_gate():
+    # -1 exactly on the unstable (g, n), where no degree can match.
+    unstable = {(0, 0), (0, 1), (0, 2), (1, 0)}
+    for g in range(4):
+        for n in range(5):
+            expected = -1 if (g, n) in unstable else 3 * g - 3 + n
+            assert moduli_dim(g, n) == expected

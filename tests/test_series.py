@@ -161,3 +161,11 @@ def test_corrupted_shift_detected(engine, oracle):
     assert not report.equal
     (se, _), _, _ = report.mismatch
     assert se[0] >= 1
+
+
+def test_shift_check_refuses_dropped_shift(engine, oracle):
+    # t_0..t_3 cannot carry the t_4 shift, whose weight 3 is within the
+    # cutoff once kappa variables are present.
+    with pytest.raises(ValueError, match="t_vars >= 4"):
+        shift_check(3, 1, 3, engine, oracle)
+    assert shift_check(3, 0, 3, engine, oracle).equal
