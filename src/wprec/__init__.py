@@ -31,8 +31,9 @@ from .correlator import (
     INITIAL_VALUES,
     CorrelatorEngine,
     CorrelatorKey,
-    IdentityReport,
     check_dilaton_identity,
+    check_kdv_identity,
+    check_shift_identity,
     check_string_identity,
     check_transfer_identity,
 )
@@ -55,6 +56,7 @@ from .multiindex import (
     multi_binomial,
     multi_multinomial,
 )
+from .numbers import IdentityReport
 from .series import (
     ShiftReport,
     TruncatedSeries,
@@ -63,12 +65,7 @@ from .series import (
     canonical_shifts,
     shift_check,
 )
-from .volumes import (
-    VolumeEngine,
-    check_expanded_volume,
-    check_kdv_identity,
-    check_shift_identity,
-)
+from .volumes import VolumeEngine, check_expanded_volume
 
 __version__ = "0.1.0"
 

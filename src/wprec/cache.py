@@ -10,8 +10,10 @@ A record is the key text (genus ``|`` kappa ``|`` comma-joined psi
 exponents) and the exact value as ``numerator/denominator``.  Files are
 append-only: saving writes only keys not already present, in sorted
 order, so re-running a warmed computation leaves the file
-byte-identical.  Cached values are trusted on load; ``check_cache``
-recomputes every record with a fresh engine.
+byte-identical.  Cached values are trusted on load, but never override
+the built-in seeds (``INITIAL_VALUES``): a wrong seed record makes the next
+save that reaches that seed fail.  ``check_cache`` recomputes every record
+with a fresh engine.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .correlator import CorrelatorEngine, CorrelatorKey
+from .correlator import INITIAL_VALUES, CorrelatorEngine, CorrelatorKey
 
 CACHE_HEADER = "wprec-cache v1"
 
@@ -95,8 +97,10 @@ def save_new_records(
 def seed_engine(
     engine: CorrelatorEngine, records: Mapping[CorrelatorKey, Fraction]
 ) -> None:
-    """Preload an engine's memo table with cached values."""
-    engine.memo.update(records)
+    """Preload an engine's memo table with cached values, seeds excepted."""
+    engine.memo.update(
+        (key, value) for key, value in records.items() if key not in INITIAL_VALUES
+    )
 
 
 def check_cache(

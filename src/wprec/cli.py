@@ -34,6 +34,8 @@ from .correlator import (
     CorrelatorEngine,
     CorrelatorKey,
     check_dilaton_identity,
+    check_kdv_identity,
+    check_shift_identity,
     check_string_identity,
     check_transfer_identity,
 )
@@ -57,7 +59,7 @@ from .sweeps import (
     rshift_cases,
     volume_signatures,
 )
-from .volumes import VolumeEngine, check_kdv_identity, check_shift_identity
+from .volumes import VolumeEngine
 
 
 def _parse_psi(text: str) -> tuple[int, ...]:
@@ -353,9 +355,9 @@ def _run_cache(args: argparse.Namespace, max_dim: int):
     return check_cache(path)
 
 
-# name: (default --max-dim, runner(args, max_dim) -> (ok, cases, detail)).
-# The suites without a default size ignore --max-dim: shift is sized by
-# --cutoff, hodge by --max-genus, cache by the file it checks.
+# name: (size, runner(args, max_dim) -> (ok, cases, detail)). The size is
+# the default --max-dim, or for a suite that --max-dim does not size, the
+# option that does.
 SUITES = {
     "oracle": (7, _sweep(_oracle_cases, positive=True)),
     "transfer": (6, _sweep(_transfer_cases)),
@@ -364,9 +366,9 @@ SUITES = {
     "kdv": (6, _sweep(_kdv_cases)),
     "rshift": (6, _sweep(_rshift_cases)),
     "volume": (7, _sweep(_volume_cases)),
-    "shift": (None, _run_shift),
-    "hodge": (None, _sweep(_hodge_cases)),
-    "cache": (None, _run_cache),
+    "shift": ("--cutoff", _run_shift),
+    "hodge": ("--max-genus", _sweep(_hodge_cases)),
+    "cache": ("--cache", _run_cache),
 }
 
 
@@ -379,9 +381,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = sorted(set(picked))
     if len(names) != 1:
         raise ValueError("choose exactly one suite (--suite NAME)")
-    default_dim, run = SUITES[names[0]]
-    max_dim = default_dim if args.max_dim is None else args.max_dim
-    ok, cases, detail = run(args, max_dim)
+    size, run = SUITES[names[0]]
+    if isinstance(size, str):
+        if args.max_dim is not None:
+            raise ValueError(
+                f"--max-dim does not size the {names[0]} suite; use {size}"
+            )
+        size = None
+    ok, cases, detail = run(args, size if args.max_dim is None else args.max_dim)
     if ok:
         print(f"PASS ({cases} cases)")
         return 0
@@ -504,6 +511,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"wprec: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("wprec: signature too deep for the recursion limit", file=sys.stderr)
         return 1
 
 

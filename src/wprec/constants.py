@@ -26,7 +26,7 @@ class ConstantTable:
 
     def __init__(self, kind: str, denom: Callable[[int], int]):
         self.kind = kind
-        self._denom = denom
+        self.denom = denom
         self._values: dict[MultiIndex, Fraction] = {ZERO: Fraction(1)}
 
     def value(self, b: MultiIndex) -> Fraction:
@@ -44,7 +44,7 @@ class ConstantTable:
             acc += (
                 sign
                 * self.value(left)
-                / (left.factorial() * right.factorial() * self._denom(right.weight))
+                / (left.factorial() * right.factorial() * self.denom(right.weight))
             )
         sign_b = -1 if b.length % 2 else 1
         result = -sign_b * b.factorial() * acc

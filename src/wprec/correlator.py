@@ -16,6 +16,10 @@ one-point ones through the signed dilaton-type relation
 (2g - 2) <kappa(b)> = sum over L + L' = b of
 (-1)^len(L) C(b, L) <tau_(weight(L)+1) kappa(L')>, whose right side never
 re-enters the n = 0 case.
+
+The identity checks against the engine (transfer, string, dilaton, KdV and
+shift) live at the end of this module and share two sums, _split_pairs and
+_signed_point_sum. IdentityReport, their result type, lives in numbers.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .multiindex import (
     splits3,
     subsets,
 )
-from .numbers import double_factorial, moduli_dim
+from .numbers import IdentityReport, double_factorial, moduli_dim
 
 _HALF = Fraction(1, 2)
 
@@ -242,10 +246,52 @@ class CorrelatorEngine:
         return total / double_factorial(2 * dp + 1)
 
 
-class IdentityReport(NamedTuple):
-    equal: bool
-    lhs: Fraction
-    rhs: Fraction
+def _split_pairs(
+    engine: CorrelatorEngine,
+    genus: int,
+    kappa: MultiIndex,
+    exps: tuple[int, ...],
+    head_i: tuple[int, ...],
+    head_j: tuple[int, ...],
+) -> Fraction:
+    """Separating-node sum shared by the transfer, KdV and shift identities.
+
+    Sum over L + L' = kappa of C(kappa, L), over complement pairs I, J of
+    exps and over g_i = 0..genus of
+    <kappa(L) head_i I>_(g_i) <kappa(L') head_j J>_(genus - g_i).
+    """
+    total = Fraction(0)
+    for left, right in splits2(kappa):
+        cb = multi_binomial(kappa, left)
+        for part_i, part_j in subsets(exps):
+            for gi in range(genus + 1):
+                first = engine.correlator(gi, left, head_i + part_i)
+                if not first:
+                    continue
+                total += (
+                    cb
+                    * first
+                    * engine.correlator(genus - gi, right, head_j + part_j)
+                )
+    return total
+
+
+def _signed_point_sum(
+    engine: CorrelatorEngine, genus: int, kappa: MultiIndex, exps, shift: int
+) -> Fraction:
+    """Sum over L + L' = kappa of (-1)^len(L) C(kappa, L) times
+    <kappa(L') exps tau_(weight(L) + shift)>: the added point of the string
+    (shift 0) and dilaton (shift 1) identities with its kappa corrections.
+    """
+    total = Fraction(0)
+    for left, rest in splits2(kappa):
+        sign = -1 if left.length % 2 else 1
+        total += (
+            sign
+            * multi_binomial(kappa, left)
+            * engine.correlator(genus, rest, exps + (left.weight + shift,))
+        )
+    return total
 
 
 def check_transfer_identity(
@@ -290,32 +336,12 @@ def check_transfer_identity(
         rhs += Fraction(
             double_factorial(2 * (d1 + v) - 1), double_factorial(2 * v - 1)
         ) * engine.correlator(genus, kappa, (merged,) + rest_psi)
-    if genus >= 1:
-        for r in range(d1 - 1):
-            s = d1 - 2 - r
-            rhs += (
-                _HALF
-                * double_factorial(2 * r + 1)
-                * double_factorial(2 * s + 1)
-                * engine.correlator(genus - 1, kappa, (r, s) + others)
-            )
-    for left, rest in splits2(kappa):
-        cb = multi_binomial(kappa, left)
-        for part_i, part_j in subsets(others):
-            for gi in range(genus + 1):
-                for r in range(d1 - 1):
-                    s = d1 - 2 - r
-                    first = engine.correlator(gi, left, (r,) + part_i)
-                    if not first:
-                        continue
-                    rhs += (
-                        _HALF
-                        * cb
-                        * double_factorial(2 * r + 1)
-                        * double_factorial(2 * s + 1)
-                        * first
-                        * engine.correlator(genus - gi, rest, (s,) + part_j)
-                    )
+    for r in range(d1 - 1):
+        s = d1 - 2 - r
+        weight = _HALF * double_factorial(2 * r + 1) * double_factorial(2 * s + 1)
+        if genus >= 1:
+            rhs += weight * engine.correlator(genus - 1, kappa, (r, s) + others)
+        rhs += weight * _split_pairs(engine, genus, kappa, others, (r,), (s,))
     return IdentityReport(lhs == rhs, lhs, rhs)
 
 
@@ -328,14 +354,7 @@ def check_string_identity(
     vanish termwise otherwise.
     """
     exps = tuple(psi)
-    lhs = Fraction(0)
-    for left, rest in splits2(kappa):
-        sign = -1 if left.length % 2 else 1
-        lhs += (
-            sign
-            * multi_binomial(kappa, left)
-            * engine.correlator(genus, rest, exps + (left.weight,))
-        )
+    lhs = _signed_point_sum(engine, genus, kappa, exps, 0)
     rhs = Fraction(0)
     for pos, v in enumerate(exps):
         if v == 0:
@@ -351,13 +370,37 @@ def check_dilaton_identity(
 ) -> IdentityReport:
     """Adding an exponent-one insertion, with kappa correction terms."""
     exps = tuple(psi)
-    lhs = Fraction(0)
-    for left, rest in splits2(kappa):
-        sign = -1 if left.length % 2 else 1
-        lhs += (
-            sign
-            * multi_binomial(kappa, left)
-            * engine.correlator(genus, rest, exps + (left.weight + 1,))
-        )
+    lhs = _signed_point_sum(engine, genus, kappa, exps, 1)
     rhs = (2 * genus - 2 + len(exps)) * engine.correlator(genus, kappa, exps)
+    return IdentityReport(lhs == rhs, lhs, rhs)
+
+
+def check_kdv_identity(
+    engine: CorrelatorEngine, genus: int, kappa: MultiIndex, psi
+) -> IdentityReport:
+    """Genus-lowering form for a correlator carrying both tau_0 and tau_1."""
+    exps = tuple(psi)
+    lhs = engine.correlator(genus, kappa, (0, 1) + exps)
+    rhs = _HALF * _split_pairs(engine, genus, kappa, exps, (0, 0), (0, 0))
+    if genus >= 1:
+        rhs += Fraction(1, 12) * engine.correlator(
+            genus - 1, kappa, (0, 0, 0, 0) + exps
+        )
+    return IdentityReport(lhs == rhs, lhs, rhs)
+
+
+def check_shift_identity(
+    engine: CorrelatorEngine, genus: int, kappa: MultiIndex, psi, r: int
+) -> IdentityReport:
+    """Trading tau_1 tau_r for tau_0 tau_(r+1) plus lower terms."""
+    if r < 0:
+        raise ValueError(f"negative shift exponent {r}")
+    exps = tuple(psi)
+    lhs = engine.correlator(genus, kappa, (1, r) + exps)
+    rhs = (2 * r + 3) * engine.correlator(genus, kappa, (0, r + 1) + exps)
+    if genus >= 1:
+        rhs -= Fraction(1, 6) * engine.correlator(
+            genus - 1, kappa, (0, 0, 0, r) + exps
+        )
+    rhs -= _split_pairs(engine, genus, kappa, exps, (0, r), (0, 0))
     return IdentityReport(lhs == rhs, lhs, rhs)

@@ -34,14 +34,18 @@ import hashlib
 from fractions import Fraction
 
 from .constants import GAMMA_FACT, GAMMA_ODD
-from .correlator import IdentityReport
 from .kmz import kappa_partition_terms
 from .multiindex import ZERO, MultiIndex, delta, multi_binomial, splits2
-from .numbers import bernoulli, double_factorial, factorial
+from .numbers import IdentityReport, bernoulli, double_factorial, factorial
 
 LAMBDA_G = "lambda_g"
 LAMBDA_G_GM1 = "lambda_g_lambda_gm1"
 _TAGS = (LAMBDA_G, LAMBDA_G_GM1)
+
+# The direct-route table of each tag. Its denominator sequence f, k! for
+# lambda_g and (2k - 1)!! for lambda_g lambda_(g-1), also gives the two
+# coefficient rules of the pure recursion as ratios of f values.
+_GAMMA = {LAMBDA_G: GAMMA_FACT, LAMBDA_G_GM1: GAMMA_ODD}
 
 
 def pairing_degree(tag: str, genus: int, n: int) -> int:
@@ -133,13 +137,7 @@ class HodgeEngine:
         ] = {}
 
     def pure_pairing(self, genus: int, tag: str, psi) -> Fraction:
-        if genus < 1:
-            raise ValueError(f"pairings need genus >= 1, got {genus}")
-        if tag not in _TAGS:
-            raise ValueError(f"unknown pairing tag {tag!r}")
-        exps = tuple(sorted(psi, reverse=True))
-        if exps and exps[-1] < 0:
-            raise ValueError(f"negative psi exponent in {exps}")
+        genus, tag, _, exps = self._canonical(genus, tag, ZERO, psi)
         return self._pure(genus, tag, exps)
 
     def correlator(self, genus: int, tag: str, kappa: MultiIndex = ZERO, psi=()) -> Fraction:
@@ -158,10 +156,7 @@ class HodgeEngine:
         self, genus: int, tag: str, kappa: MultiIndex = ZERO, psi=()
     ) -> Fraction:
         """Direct route: kappa factors consumed by the table recursion."""
-        genus, tag, kappa, exps = self._canonical(genus, tag, kappa, psi)
-        if self._gated(genus, tag, kappa, exps):
-            return Fraction(0)
-        return self._direct(genus, tag, kappa, exps)
+        return self._direct(*self._canonical(genus, tag, kappa, psi))
 
     @staticmethod
     def _canonical(genus, tag, kappa, psi):
@@ -284,7 +279,7 @@ class HodgeEngine:
                         genus, tag, left + delta(right.weight - 1), rest
                     )
         else:
-            gamma = (GAMMA_FACT if tag == LAMBDA_G else GAMMA_ODD).value
+            gamma = _GAMMA[tag].value
             d, d0 = exps[0], exps[1]
             others = exps[2:]
             result = Fraction(0)
@@ -322,26 +317,14 @@ class HodgeEngine:
         """Weight on the term joining the two distinguished insertions."""
         if d0 + d + w - 1 < 0:
             return Fraction(0)
-        if tag == LAMBDA_G:
-            return Fraction(
-                factorial(d + d0 + w), factorial(d0) * factorial(d)
-            )
-        return Fraction(
-            double_factorial(2 * d + 2 * d0 + 2 * w - 1),
-            double_factorial(2 * d - 1) * double_factorial(2 * d0 - 1),
-        )
+        f = _GAMMA[tag].denom
+        return Fraction(f(d + d0 + w), f(d0) * f(d))
 
     @staticmethod
     def _join_coeff(tag: str, d: int, dj: int, w: int) -> Fraction:
         """Weight on the term joining the pivot with a positive insertion."""
-        if tag == LAMBDA_G:
-            return Fraction(
-                factorial(dj + d + w - 1), factorial(dj - 1) * factorial(d)
-            )
-        return Fraction(
-            double_factorial(2 * d + 2 * dj + 2 * w - 3),
-            double_factorial(2 * d - 1) * double_factorial(2 * dj - 3),
-        )
+        f = _GAMMA[tag].denom
+        return Fraction(f(dj + d + w - 1), f(dj - 1) * f(d))
 
 
 def check_pairing_reduction(

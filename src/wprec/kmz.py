@@ -69,12 +69,17 @@ class KmzOracle:
         Zero off-dimension or on unstable signatures; exponents must be
         nonnegative.
         """
+        return self._pure(genus, self._canonical(genus, psi))
+
+    @staticmethod
+    def _canonical(genus: int, psi) -> tuple[int, ...]:
+        """Descending exponents, after rejecting a negative genus or exponent."""
         if genus < 0:
             raise ValueError(f"negative genus {genus}")
         exps = tuple(sorted(psi, reverse=True))
         if exps and exps[-1] < 0:
             raise ValueError(f"negative psi exponent in {exps}")
-        return self._pure(genus, exps)
+        return exps
 
     def _pure(self, genus: int, exps: tuple[int, ...]) -> Fraction:
         if sum(exps) != moduli_dim(genus, len(exps)):
@@ -152,11 +157,7 @@ class KmzOracle:
         Gates (stability, dimension) are identical to the pivot engine's so
         the two routes agree on the whole input space, not only on-shell.
         """
-        if genus < 0:
-            raise ValueError(f"negative genus {genus}")
-        exps = tuple(sorted(psi, reverse=True))
-        if exps and exps[-1] < 0:
-            raise ValueError(f"negative psi exponent in {exps}")
+        exps = self._canonical(genus, psi)
         if kappa.weight + sum(exps) != moduli_dim(genus, len(exps)):
             return Fraction(0)
         if not kappa:
@@ -176,9 +177,7 @@ class KmzOracle:
         unordered shape with part counts a_1, ..., a_r carries weight
         (-1)^(q - k)/(a_1! ... a_r!) where k = sum(a_i).
         """
-        if genus < 0:
-            raise ValueError(f"negative genus {genus}")
-        exps = tuple(sorted(psi, reverse=True))
+        exps = self._canonical(genus, psi)
         if kappa.weight + sum(exps) != moduli_dim(genus, len(exps)):
             return Fraction(0)
         if not kappa:

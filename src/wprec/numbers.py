@@ -4,7 +4,9 @@ Double factorials, Bernoulli and Euler numbers are served from memoized
 growing tables. Table extension is serialized with a lock; reads are
 lock-free (lists only grow, and CPython list appends are atomic).
 Everything returns ints or Fractions, never floats. moduli_dim is the one
-stability and dimension gate that every route applies.
+stability and dimension gate that every route applies, and IdentityReport
+the result type of the identity checks; both live here, in the one module
+that every route imports, so that no route has to import another.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from typing import NamedTuple
 
 _dfact_lock = threading.Lock()
 # _DFACT[k + 1] == k!!, seeded with (-1)!! = 0!! = 1.
@@ -41,6 +44,12 @@ def moduli_dim(genus: int, n: int) -> int:
     if 2 * genus - 2 + n > 0:
         return 3 * genus - 3 + n
     return -1
+
+
+class IdentityReport(NamedTuple):
+    equal: bool
+    lhs: Fraction
+    rhs: Fraction
 
 
 def factorial(n: int) -> int:

@@ -4,7 +4,9 @@ The volume V_{g,n}(kappa(b)) is the correlator of kappa(b) with n plain
 (exponent-zero) insertions. This module computes it without descending to
 general correlators: a closed recursion trades genus and kappa length
 against each other, so the dual computation against the pivot engine is a
-genuine cross-check of both.
+genuine cross-check of both. The module imports nothing from the pivot
+engine; the KdV and shift identities on correlators live beside the other
+correlator identities in correlator.py.
 
 The n >= 1 recursion inducts on (g, length(b)) lexicographically. Its
 insertion-free counterpart (g >= 2) inducts on length(b) alone, landing in
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .correlator import CorrelatorEngine, IdentityReport
 from .multiindex import (
     ZERO,
     MultiIndex,
@@ -25,9 +26,8 @@ from .multiindex import (
     multi_multinomial,
     splits2,
     splits3,
-    subsets,
 )
-from .numbers import binomial, double_factorial, factorial, moduli_dim
+from .numbers import IdentityReport, binomial, double_factorial, factorial, moduli_dim
 
 _HALF = Fraction(1, 2)
 
@@ -211,57 +211,3 @@ def check_expanded_volume(volumes: VolumeEngine, genus: int, n: int, kappa) -> I
             )
     return IdentityReport(lhs == rhs, lhs, rhs)
 
-
-def check_kdv_identity(
-    engine: CorrelatorEngine, genus: int, kappa: MultiIndex, psi
-) -> IdentityReport:
-    """Genus-lowering form for a correlator carrying both tau_0 and tau_1."""
-    exps = tuple(psi)
-    lhs = engine.correlator(genus, kappa, (0, 1) + exps)
-    rhs = Fraction(0)
-    if genus >= 1:
-        rhs += Fraction(1, 12) * engine.correlator(
-            genus - 1, kappa, (0, 0, 0, 0) + exps
-        )
-    for left, right in splits2(kappa):
-        cb = multi_binomial(kappa, left)
-        for part_i, part_j in subsets(exps):
-            for gi in range(genus + 1):
-                first = engine.correlator(gi, left, (0, 0) + part_i)
-                if not first:
-                    continue
-                rhs += (
-                    _HALF
-                    * cb
-                    * first
-                    * engine.correlator(genus - gi, right, (0, 0) + part_j)
-                )
-    return IdentityReport(lhs == rhs, lhs, rhs)
-
-
-def check_shift_identity(
-    engine: CorrelatorEngine, genus: int, kappa: MultiIndex, psi, r: int
-) -> IdentityReport:
-    """Trading tau_1 tau_r for tau_0 tau_(r+1) plus lower terms."""
-    if r < 0:
-        raise ValueError(f"negative shift exponent {r}")
-    exps = tuple(psi)
-    lhs = engine.correlator(genus, kappa, (1, r) + exps)
-    rhs = (2 * r + 3) * engine.correlator(genus, kappa, (0, r + 1) + exps)
-    if genus >= 1:
-        rhs -= Fraction(1, 6) * engine.correlator(
-            genus - 1, kappa, (0, 0, 0, r) + exps
-        )
-    for left, right in splits2(kappa):
-        cb = multi_binomial(kappa, left)
-        for part_i, part_j in subsets(exps):
-            for gi in range(genus + 1):
-                first = engine.correlator(gi, left, (0, r) + part_i)
-                if not first:
-                    continue
-                rhs -= (
-                    cb
-                    * first
-                    * engine.correlator(genus - gi, right, (0, 0) + part_j)
-                )
-    return IdentityReport(lhs == rhs, lhs, rhs)

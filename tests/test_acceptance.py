@@ -18,6 +18,8 @@ from wprec.correlator import (
     CorrelatorEngine,
     CorrelatorKey,
     check_dilaton_identity,
+    check_kdv_identity,
+    check_shift_identity,
     check_string_identity,
     check_transfer_identity,
 )
@@ -41,8 +43,6 @@ from wprec.sweeps import (
 from wprec.volumes import (
     VolumeEngine,
     check_expanded_volume,
-    check_kdv_identity,
-    check_shift_identity,
 )
 
 

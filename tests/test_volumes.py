@@ -5,13 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from wprec.correlator import CorrelatorEngine
+from wprec.correlator import CorrelatorEngine, check_kdv_identity, check_shift_identity
 from wprec.multiindex import ZERO, MultiIndex, delta
 from wprec.volumes import (
     VolumeEngine,
     check_expanded_volume,
-    check_kdv_identity,
-    check_shift_identity,
 )
 from wprec.sweeps import (
     closed_volume_indices,
