@@ -108,15 +108,16 @@ def check_cache(
 ) -> tuple[bool, int, str | None]:
     """Recompute every cached record with a fresh engine.
 
-    Returns (all_match, record_count, first_mismatch_description).
+    Returns (all_match, cases, first_mismatch_description), where cases is
+    the record count, or on a mismatch its 1-based position in key order.
     """
     records = load_cache(path)
     fresh = CorrelatorEngine()
-    for key in sorted(records):
+    for position, key in enumerate(sorted(records), start=1):
         recomputed = fresh.correlator(key.genus, key.kappa, key.psi)
         if recomputed != records[key]:
             detail = (
                 f"{key.text()}: cached {records[key]} != recomputed {recomputed}"
             )
-            return False, len(records), detail
+            return False, position, detail
     return True, len(records), None

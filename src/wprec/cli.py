@@ -71,6 +71,13 @@ def _parse_psi(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad psi list {text!r}") from None
 
 
+def _size(text: str) -> int:
+    """argparse type of the verify sizes: a non-negative decimal integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _decimal_text(value: Fraction, places: int) -> str:
     """Exact round-half-even decimal rendering with the given scale."""
     if places < 0:
@@ -485,13 +492,13 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--shift", action="store_true", help="shorthand for --suite shift"
     )
-    verify.add_argument("--max-dim", type=int, default=None)
-    verify.add_argument("--cutoff", type=int, default=6)
-    verify.add_argument("--s-vars", type=int, default=3)
+    verify.add_argument("--max-dim", type=_size, default=None)
+    verify.add_argument("--cutoff", type=_size, default=6)
+    verify.add_argument("--s-vars", type=_size, default=3)
     verify.add_argument(
-        "--t-vars", type=int, default=None, help="default: cutoff + 1"
+        "--t-vars", type=_size, default=None, help="default: cutoff + 1"
     )
-    verify.add_argument("--max-genus", type=int, default=3)
+    verify.add_argument("--max-genus", type=_size, default=3)
     verify.add_argument("--provider", metavar="PATH")
     verify.add_argument("--cache", metavar="PATH")
     verify.set_defaults(func=_cmd_verify)

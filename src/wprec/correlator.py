@@ -15,7 +15,9 @@ Insertion-free correlators (n = 0, forced g >= 2) are first traded for
 one-point ones through the signed dilaton-type relation
 (2g - 2) <kappa(b)> = sum over L + L' = b of
 (-1)^len(L) C(b, L) <tau_(weight(L)+1) kappa(L')>, whose right side never
-re-enters the n = 0 case.
+re-enters the n = 0 case. It is _signed_point_sum with shift 1, so the
+dilaton identity holds at n = 0 by construction; closed volumes
+(VolumeEngine.volume_closed) are the independent check of n = 0 values.
 
 The identity checks against the engine (transfer, string, dilaton, KdV and
 shift) live at the end of this module and share two sums, _split_pairs and
@@ -132,15 +134,7 @@ class CorrelatorEngine:
         if seed is not None:
             return self.memo.setdefault(key, seed)
         if n == 0:
-            acc = Fraction(0)
-            for left, rest in splits2(b):
-                sign = -1 if left.length % 2 else 1
-                acc += (
-                    sign
-                    * multi_binomial(b, left)
-                    * self._value(CorrelatorKey(g, rest, (left.weight + 1,)))
-                )
-            result = acc / (2 * g - 2)
+            result = _signed_point_sum(self, g, b, (), 1) / (2 * g - 2)
         else:
             result = self._pivot_eval(g, b, d, 0)
         return self.memo.setdefault(key, result)

@@ -18,7 +18,8 @@ substituted and all outputs scale linearly with it.
 Two independent kappa-handling routes are exposed. The primary route
 rewrites kappa factors as signed descendant insertions and reduces the pure
 pairing by the two-distinguished-insertions rule. The direct route keeps
-kappa factors in play with table-weighted coefficients, plus three
+kappa factors in play with table-weighted coefficients (the same rule with
+its exponents shifted by the weight of a kappa sub-index), plus three
 forgetful-map identities covering the shapes the table recursion cannot
 reach (a point-adding step needs two insertions with the rest positive):
 a string step with kappa corrections, a kappa-removal step trading one
@@ -26,12 +27,17 @@ kappa factor for a fresh insertion, and the insertion-free dilaton scaling
 <|lambda> = <tau_1|lambda>/(2g-2). All three follow from the standard
 comparisons kappa_a = pull(kappa_a) + psi_(n+1)^a, psi_j = pull(psi_j) + D_j
 with psi_(n+1) D_j = 0, and push(psi_(n+1)^(a+1)) = kappa_a.
+
+The two-insertions rule is written once, as _two_point_terms, and serves the
+pure recursion, the direct route and check_pairing_reduction; the string
+step of both routes is the one generator _lowered.
 """
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from typing import Iterator
 
 from .constants import GAMMA_FACT, GAMMA_ODD
 from .kmz import kappa_partition_terms
@@ -191,31 +197,13 @@ class HodgeEngine:
         elif n == 1:
             result = self.provider.base_value(genus, tag)
         elif exps[-1] == 0:
-            rest = exps[:-1]
             result = Fraction(0)
-            for pos, v in enumerate(rest):
-                if v == 0:
-                    continue
-                result += self._pure(
-                    genus,
-                    tag,
-                    tuple(
-                        sorted(rest[:pos] + (v - 1,) + rest[pos + 1 :], reverse=True)
-                    ),
-                )
+            for lowered in _lowered(exps[:-1]):
+                result += self._pure(genus, tag, lowered)
         else:
-            d, d0 = exps[0], exps[1]
-            others = exps[2:]
-            result = self._merge_coeff(tag, d, d0, 0) * self._pure(
-                genus, tag, tuple(sorted((d0 + d - 1,) + others, reverse=True))
-            )
-            for pos, v in enumerate(others):
-                rest = others[:pos] + others[pos + 1 :]
-                result += self._join_coeff(tag, d, v, 0) * self._pure(
-                    genus,
-                    tag,
-                    tuple(sorted((d0, v + d - 1) + rest, reverse=True)),
-                )
+            result = Fraction(0)
+            for coeff, merged in _two_point_terms(tag, exps[0], exps[1], exps[2:], 0):
+                result += coeff * self._pure(genus, tag, merged)
         return self._pure_memo.setdefault(key, result)
 
     def _direct(
@@ -238,32 +226,14 @@ class HodgeEngine:
             result = Fraction(0)
             for left, right in splits2(m):
                 sign = -1 if right.length % 2 else 1
-                result += (
-                    sign
-                    * multi_binomial(m, left)
-                    * self._direct(
-                        genus,
-                        tag,
-                        left,
-                        tuple(
-                            sorted(exps + (a + 1 + right.weight,), reverse=True)
-                        ),
-                    )
-                )
+                fresh = tuple(sorted(exps + (a + 1 + right.weight,), reverse=True))
+                cb = sign * multi_binomial(m, left)
+                result += cb * self._direct(genus, tag, left, fresh)
         elif exps[-1] == 0:
             rest = exps[:-1]
             result = Fraction(0)
-            for pos, v in enumerate(rest):
-                if v == 0:
-                    continue
-                result += self._direct(
-                    genus,
-                    tag,
-                    kappa,
-                    tuple(
-                        sorted(rest[:pos] + (v - 1,) + rest[pos + 1 :], reverse=True)
-                    ),
-                )
+            for lowered in _lowered(rest):
+                result += self._direct(genus, tag, kappa, lowered)
             for left, right in splits2(kappa):
                 if not right:
                     continue
@@ -280,51 +250,43 @@ class HodgeEngine:
                     )
         else:
             gamma = _GAMMA[tag].value
-            d, d0 = exps[0], exps[1]
-            others = exps[2:]
             result = Fraction(0)
             for left, right in splits2(kappa):
                 gcb = gamma(left) * multi_binomial(kappa, left)
                 if not gcb:
                     continue
-                w = left.weight
-                result += (
-                    gcb
-                    * self._merge_coeff(tag, d, d0, w)
-                    * self._direct(
-                        genus,
-                        tag,
-                        right,
-                        tuple(sorted((d0 + d + w - 1,) + others, reverse=True)),
-                    )
-                )
-                for pos, v in enumerate(others):
-                    rest = others[:pos] + others[pos + 1 :]
-                    result += (
-                        gcb
-                        * self._join_coeff(tag, d, v, w)
-                        * self._direct(
-                            genus,
-                            tag,
-                            right,
-                            tuple(sorted((d0, v + d + w - 1) + rest, reverse=True)),
-                        )
-                    )
+                for coeff, merged in _two_point_terms(
+                    tag, exps[0], exps[1], exps[2:], left.weight
+                ):
+                    result += gcb * coeff * self._direct(genus, tag, right, merged)
         return self._direct_memo.setdefault(key, result)
 
-    @staticmethod
-    def _merge_coeff(tag: str, d: int, d0: int, w: int) -> Fraction:
-        """Weight on the term joining the two distinguished insertions."""
-        if d0 + d + w - 1 < 0:
-            return Fraction(0)
-        f = _GAMMA[tag].denom
-        return Fraction(f(d + d0 + w), f(d0) * f(d))
 
-    @staticmethod
-    def _join_coeff(tag: str, d: int, dj: int, w: int) -> Fraction:
-        """Weight on the term joining the pivot with a positive insertion."""
-        f = _GAMMA[tag].denom
-        return Fraction(f(dj + d + w - 1), f(dj - 1) * f(d))
+def _lowered(exps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The string step: each positive exponent lowered by one, re-sorted."""
+    for pos, v in enumerate(exps):
+        if v:
+            yield tuple(sorted(exps[:pos] + (v - 1,) + exps[pos + 1 :], reverse=True))
+
+
+def _two_point_terms(
+    tag: str, d: int, d0: int, others: tuple[int, ...], w: int
+) -> Iterator[tuple[Fraction, tuple[int, ...]]]:
+    """The two-distinguished-insertions rule around (d, d0), shifted by w.
+
+    Yields (coefficient, sorted exponents): d and d0 merged into d + d0 + w - 1
+    (when >= 0), weighted f(d + d0 + w)/(f(d0) f(d)), then d joined with each
+    other v into v + d + w - 1, weighted f(v + d + w - 1)/(f(v - 1) f(d)); f is
+    the denominator sequence of the tag's gamma table.
+    """
+    f = _GAMMA[tag].denom
+    if d + d0 + w - 1 >= 0:
+        coeff = Fraction(f(d + d0 + w), f(d0) * f(d))
+        yield coeff, tuple(sorted((d + d0 + w - 1,) + others, reverse=True))
+    for pos, v in enumerate(others):
+        coeff = Fraction(f(v + d + w - 1), f(v - 1) * f(d))
+        joined = (d0, v + d + w - 1) + others[:pos] + others[pos + 1 :]
+        yield coeff, tuple(sorted(joined, reverse=True))
 
 
 def check_pairing_reduction(
@@ -332,7 +294,9 @@ def check_pairing_reduction(
 ) -> IdentityReport:
     """Two-distinguished-insertions rule on pure pairings, checked literally.
 
-    Requires every non-distinguished exponent positive, as the rule does.
+    The pair (d, d0) is any two insertions, not only the two largest that
+    the recursion pivots on. Requires every non-distinguished exponent
+    positive, as the rule does.
     """
     others = tuple(rest)
     if any(v < 1 for v in others):
@@ -341,13 +305,6 @@ def check_pairing_reduction(
         raise ValueError("distinguished exponents must be >= 0")
     lhs = engine.pure_pairing(genus, tag, (d, d0) + others)
     rhs = Fraction(0)
-    if d0 + d - 1 >= 0:
-        rhs += engine._merge_coeff(tag, d, d0, 0) * engine.pure_pairing(
-            genus, tag, (d0 + d - 1,) + others
-        )
-    for pos, v in enumerate(others):
-        kept = others[:pos] + others[pos + 1 :]
-        rhs += engine._join_coeff(tag, d, v, 0) * engine.pure_pairing(
-            genus, tag, (d0, v + d - 1) + kept
-        )
+    for coeff, merged in _two_point_terms(tag, d, d0, others, 0):
+        rhs += coeff * engine.pure_pairing(genus, tag, merged)
     return IdentityReport(lhs == rhs, lhs, rhs)

@@ -314,6 +314,10 @@ def build_mixed_series(
 
 
 class ShiftReport(NamedTuple):
+    """Outcome of shift_check: cases is the number of monomials compared, or
+    the 1-based position of the mismatch (key, mixed, shifted) in sorted order.
+    """
+
     equal: bool
     cases: int
     mismatch: tuple[MonomialKey, Fraction, Fraction] | None
@@ -370,6 +374,8 @@ def shift_check(
     if shifts is None:
         shifts = canonical_shifts(2 * cutoff, s_vars, t_vars)
     substituted = source.substitute_t(shifts).truncated(cutoff)
-    cases = len(set(mixed.coeffs) | set(substituted.coeffs))
-    mismatch = substituted.first_mismatch(mixed)
-    return ShiftReport(mismatch is None, cases, mismatch)
+    keys = sorted(set(mixed.coeffs) | set(substituted.coeffs))
+    mismatch = mixed.first_mismatch(substituted)
+    if mismatch is None:
+        return ShiftReport(True, len(keys), None)
+    return ShiftReport(False, keys.index(mismatch[0]) + 1, mismatch)

@@ -50,6 +50,17 @@ def _stable_windows(max_dim: int, min_n: int) -> Iterator[tuple[int, int, int]]:
                 yield genus, n, dim
 
 
+def _fillings(
+    degree: int, n: int, max_length: int | None = None
+) -> Iterator[tuple[MultiIndex, tuple[int, ...]]]:
+    """(kappa, psi) with n exponents and total degree `degree` (none if < 0),
+    by kappa weight, then kappa index, then psi."""
+    for w in range(degree + 1):
+        for kappa in indices_of_weight(w, max_length=max_length):
+            for psi in psi_lists(degree - w, n):
+                yield kappa, psi
+
+
 def correlator_signatures(
     max_dim: int, min_n: int = 1, shell: int = 0
 ) -> Iterator[tuple[int, MultiIndex, tuple[int, ...]]]:
@@ -59,11 +70,8 @@ def correlator_signatures(
     signatures, shell 1 the shell on which point-adding identities bite.
     """
     for genus, n, dim in _stable_windows(max_dim, min_n):
-        degree = dim + shell
-        for w in range(degree + 1):
-            for kappa in indices_of_weight(w):
-                for psi in psi_lists(degree - w, n):
-                    yield genus, kappa, psi
+        for kappa, psi in _fillings(dim + shell, n):
+            yield genus, kappa, psi
 
 
 def volume_signatures(
@@ -92,12 +100,8 @@ def hodge_signatures(
         for tag in (LAMBDA_G_GM1, LAMBDA_G):
             for n in range(max_n + 1):
                 degree = pairing_degree(tag, genus, n)
-                if degree < 0:
-                    continue
-                for w in range(degree + 1):
-                    for kappa in indices_of_weight(w, max_length=max_length):
-                        for psi in psi_lists(degree - w, n):
-                            yield genus, tag, kappa, psi
+                for kappa, psi in _fillings(degree, n, max_length):
+                    yield genus, tag, kappa, psi
 
 
 def _extension_windows(max_dim: int) -> Iterator[tuple[int, int, int]]:
@@ -114,10 +118,8 @@ def kdv_cases(
 ) -> Iterator[tuple[int, MultiIndex, tuple[int, ...]]]:
     """(genus, kappa, psi) whose tau_0 tau_1 extension is in-dimension."""
     for genus, n, shell in _extension_windows(max_dim):
-        for w in range(shell + 1):
-            for kappa in indices_of_weight(w):
-                for psi in psi_lists(shell - w, n):
-                    yield genus, kappa, psi
+        for kappa, psi in _fillings(shell, n):
+            yield genus, kappa, psi
 
 
 def rshift_cases(

@@ -9,9 +9,12 @@ engine; the KdV and shift identities on correlators live beside the other
 correlator identities in correlator.py.
 
 The n >= 1 recursion inducts on (g, length(b)) lexicographically. Its
-insertion-free counterpart (g >= 2) inducts on length(b) alone, landing in
-n >= 1 volumes. A kappa factor of index zero is a scalar 2g - 2 + n, never
-a multi-index entry; the two _times_kappa helpers keep that case separate.
+genus-preserving terms (separating splits minus merges) are one method,
+VolumeEngine._bracket, which serves both the recursion and the expanded
+genus ladder of check_expanded_volume. The insertion-free counterpart
+(g >= 2) inducts on length(b) alone, landing in n >= 1 volumes. A kappa
+factor of index zero is a scalar 2g - 2 + n, never a multi-index entry;
+_times_kappa keeps that case separate.
 """
 
 from __future__ import annotations
@@ -60,21 +63,26 @@ class VolumeEngine:
             # single index n - 3: both integrate to 1.
             return self._open_memo.setdefault(key, Fraction(1))
 
-        total = Fraction(0)
+        total = self._bracket(genus, n, kappa)
         if genus >= 1:
             total += Fraction(1, 12) * self.volume(genus - 1, n + 3, kappa)
+        result = total / (2 * genus - 1 + kappa.length)
+        return self._open_memo.setdefault(key, result)
+
+    def _bracket(self, genus: int, n: int, kappa: MultiIndex) -> Fraction:
+        """Genus-preserving terms of the n >= 1 recursion: over L + L' = kappa,
+        the splits 1/2 C(kappa, L) C(n - 1, r) V_{g_i,r+2}(L) V_{g-g_i,n+1-r}(L')
+        (L, L' nonempty) minus the merges C(kappa, L) V_{g,n}(L + delta_wt(L'))
+        (len L' >= 2)."""
+        total = Fraction(0)
         for left, right in splits2(kappa):
+            cb = multi_binomial(kappa, left)
             if right.length >= 2:
-                total -= multi_binomial(kappa, left) * self.volume(
-                    genus, n, left + delta(right.weight)
-                )
-        for left, right in splits2(kappa):
+                total -= cb * self.volume(genus, n, left + delta(right.weight))
             if not left or not right:
                 continue
-            cb = multi_binomial(kappa, left)
             for gi in range(genus + 1):
                 for r in range(n):
-                    s = n - 1 - r
                     first = self.volume(gi, r + 2, left)
                     if not first:
                         continue
@@ -83,10 +91,9 @@ class VolumeEngine:
                         * cb
                         * binomial(n - 1, r)
                         * first
-                        * self.volume(genus - gi, s + 2, right)
+                        * self.volume(genus - gi, n + 1 - r, right)
                     )
-        result = total / (2 * genus - 1 + kappa.length)
-        return self._open_memo.setdefault(key, result)
+        return total
 
     def volume_closed(self, genus: int, kappa: MultiIndex = ZERO) -> Fraction:
         """V_g(kappa(b)) on the unpointed space; needs genus >= 2."""
@@ -132,8 +139,8 @@ class VolumeEngine:
             bumped = left + delta(right.weight)
             inner = Fraction(0)
             for e, f in splits2(bumped):
-                inner += multi_binomial(bumped, e) * self._closed_times_kappa(
-                    genus, e, f.weight
+                inner += multi_binomial(bumped, e) * self._times_kappa(
+                    genus, 0, e, f.weight
                 )
             total -= cb * inner
 
@@ -149,17 +156,13 @@ class VolumeEngine:
             return (2 * genus - 2 + n) * self.volume(genus, n, m)
         return self.volume(genus, n, m + delta(a))
 
-    def _closed_times_kappa(self, genus: int, m: MultiIndex, a: int) -> Fraction:
-        if a == 0:
-            return (2 * genus - 2) * self.volume_closed(genus, m)
-        return self.volume_closed(genus, m + delta(a))
-
 
 def check_expanded_volume(volumes: VolumeEngine, genus: int, n: int, kappa) -> IdentityReport:
     """Compare the recursion against its fully expanded genus ladder.
 
     The expansion trades every genus-lowering step at once: a delta term for
-    kappa length 0 or 1 plus one bracket per intermediate genus h, weighted
+    kappa length 0 or 1 plus one bracket (VolumeEngine._bracket at genus h
+    with n + 3(g - h) points) per intermediate genus h, weighted
     by (2h - 3 + q)!!/(12^(g-h) (2g - 1 + q)!!). A bracket's double
     factorial is left unevaluated when the bracket itself vanishes (at
     q <= 1 the shape (2h - 3 + q) can drop below -1, but every such bracket
@@ -180,27 +183,7 @@ def check_expanded_volume(volumes: VolumeEngine, genus: int, n: int, kappa) -> I
     if q == 1:
         rhs += Fraction(1, 24**genus * factorial(genus))
     for h in range(genus + 1):
-        extra = 3 * (genus - h)
-        bracket = Fraction(0)
-        for left, right in splits2(kappa):
-            if not left or not right:
-                continue
-            cb = multi_binomial(kappa, left)
-            for r in range(n + extra):
-                s = n - 1 + extra - r
-                pairs = Fraction(0)
-                for hi in range(h + 1):
-                    first = volumes.volume(hi, r + 2, left)
-                    if not first:
-                        continue
-                    pairs += first * volumes.volume(h - hi, s + 2, right)
-                bracket += _HALF * cb * binomial(n - 1 + extra, r) * pairs
-        for left, right in splits2(kappa):
-            if right.length < 2:
-                continue
-            bracket -= multi_binomial(kappa, left) * volumes.volume(
-                h, n + extra, left + delta(right.weight)
-            )
+        bracket = volumes._bracket(h, n + 3 * (genus - h), kappa)
         if bracket:
             rhs += (
                 Fraction(
