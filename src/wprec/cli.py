@@ -72,7 +72,8 @@ def _parse_psi(text: str) -> tuple[int, ...]:
 
 
 def _size(text: str) -> int:
-    """argparse type of the verify sizes: a non-negative decimal integer."""
+    """argparse type of the table and verify sizes: a non-negative decimal
+    integer."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
@@ -476,9 +477,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--constants", choices=("alpha", "gamma_odd", "gamma_fact")
     )
     which.add_argument("--volumes", action="store_true")
-    table.add_argument("--max-weight", type=int, default=6)
-    table.add_argument("--max-genus", type=int, default=2)
-    table.add_argument("--max-n", type=int, default=4)
+    table.add_argument("--max-weight", type=_size, default=6)
+    table.add_argument("--max-genus", type=_size, default=2)
+    table.add_argument("--max-n", type=_size, default=4)
     form = table.add_mutually_exclusive_group()
     form.add_argument("--csv", action="store_true", help="the default")
     form.add_argument("--json", action="store_true")

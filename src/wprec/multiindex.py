@@ -35,19 +35,23 @@ class MultiIndex:
                 raise ValueError(f"negative multiplicity {m} at position {i}")
             if m:
                 merged[i] = merged.get(i, 0) + m
-        self._init_from(tuple(sorted(merged.items())))
-
-    def _init_from(self, entries: tuple[tuple[int, int], ...]) -> None:
+        entries = tuple(sorted(merged.items()))
         self._entries = entries
         self._weight = sum(i * m for i, m in entries)
         self._length = sum(m for _, m in entries)
         self._hash = hash(entries)
 
     @classmethod
-    def _raw(cls, entries: tuple[tuple[int, int], ...]) -> "MultiIndex":
-        """Trusted constructor: entries already sorted, positive, merged."""
+    def _raw(
+        cls, entries: tuple[tuple[int, int], ...], weight: int, length: int
+    ) -> "MultiIndex":
+        """Trusted constructor: entries already sorted, positive, merged,
+        with their weight and length already summed by the caller."""
         self = object.__new__(cls)
-        self._init_from(entries)
+        self._entries = entries
+        self._weight = weight
+        self._length = length
+        self._hash = hash(entries)
         return self
 
     @property
@@ -101,7 +105,11 @@ class MultiIndex:
         merged = dict(self._entries)
         for i, m in other._entries:
             merged[i] = merged.get(i, 0) + m
-        return MultiIndex._raw(tuple(sorted(merged.items())))
+        return MultiIndex._raw(
+            tuple(sorted(merged.items())),
+            self._weight + other._weight,
+            self._length + other._length,
+        )
 
     def __sub__(self, other: "MultiIndex") -> "MultiIndex":
         merged = dict(self._entries)
@@ -113,7 +121,11 @@ class MultiIndex:
                 merged[i] = left
             else:
                 merged.pop(i, None)
-        return MultiIndex._raw(tuple(sorted(merged.items())))
+        return MultiIndex._raw(
+            tuple(sorted(merged.items())),
+            self._weight - other._weight,
+            self._length - other._length,
+        )
 
     def contains(self, other: "MultiIndex") -> bool:
         return all(self[i] >= m for i, m in other._entries)
@@ -123,7 +135,11 @@ class MultiIndex:
             raise ValueError(f"negative scale {c}")
         if c == 0 or not self._entries:
             return ZERO
-        return MultiIndex._raw(tuple((i, c * m) for i, m in self._entries))
+        return MultiIndex._raw(
+            tuple((i, c * m) for i, m in self._entries),
+            c * self._weight,
+            c * self._length,
+        )
 
     def factorial(self) -> int:
         """Product of m(i)! over the support."""
@@ -152,12 +168,14 @@ class MultiIndex:
         return f"MultiIndex({self.to_text()!r})"
 
 
-ZERO = MultiIndex._raw(())
+ZERO = MultiIndex._raw((), 0, 0)
 
 
 def delta(a: int) -> MultiIndex:
     """The multi-index with a single 1 at position a."""
-    return MultiIndex(((a, 1),))
+    if a < 1:
+        raise ValueError(f"multi-index positions start at 1, got {a}")
+    return MultiIndex._raw(((a, 1),), a, 1)
 
 
 def multi_binomial(b: MultiIndex, sub: MultiIndex) -> int:
@@ -188,15 +206,27 @@ def splits2(b: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex]]:
     """All ordered pairs (L, L') with L + L' = b.
 
     The first pair yielded is (0, b) and the last is (b, 0); there are
-    prod(b(i) + 1) pairs in total.
+    prod(b(i) + 1) pairs in total. Each pair is built in one pass over b's
+    entries, which sums L's weight and length on the way; L' gets b's
+    minus L's, and both go through the trusted constructor.
     """
     entries = b.entries
-    positions = [i for i, _ in entries]
+    weight, length = b.weight, b.length
+    raw = MultiIndex._raw
     for counts in itertools.product(*(range(m + 1) for _, m in entries)):
-        left = MultiIndex._raw(
-            tuple((i, c) for i, c in zip(positions, counts) if c)
-        )
-        yield left, b - left
+        left = []
+        right = []
+        w = n = 0
+        for (i, m), c in zip(entries, counts):
+            if c:
+                left.append((i, c))
+                w += i * c
+                n += c
+                if c != m:
+                    right.append((i, m - c))
+            else:
+                right.append((i, m))
+        yield raw(tuple(left), w, n), raw(tuple(right), weight - w, length - n)
 
 
 def splits3(
@@ -331,4 +361,6 @@ def indices_of_weight(
                     yield ((i, m),) + tail
 
     for entries in build(w, top, max_length):
-        yield MultiIndex._raw(tuple(sorted(entries)))
+        yield MultiIndex._raw(
+            tuple(sorted(entries)), w, sum(m for _, m in entries)
+        )

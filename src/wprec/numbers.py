@@ -1,8 +1,8 @@
 """Exact integer sequences used throughout the recursions.
 
 Double factorials, Bernoulli and Euler numbers are served from memoized
-growing tables. Table extension is serialized with a lock; reads are
-lock-free (lists only grow, and CPython list appends are atomic).
+growing tables, which only ever grow by appending the next entry. The
+package starts no threads, so the tables take no lock.
 Everything returns ints or Fractions, never floats. moduli_dim is the one
 stability and dimension gate that every route applies, and IdentityReport
 the result type of the identity checks; both live here, in the one module
@@ -12,11 +12,9 @@ that every route imports, so that no route has to import another.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-_dfact_lock = threading.Lock()
 # _DFACT[k + 1] == k!!, seeded with (-1)!! = 0!! = 1.
 _DFACT: list[int] = [1, 1]
 
@@ -28,10 +26,9 @@ def double_factorial(k: int) -> int:
         # k <= -2 would silently index from the end of the list.
         raise ValueError(f"double factorial undefined for {k}")
     if k + 1 >= len(_DFACT):
-        with _dfact_lock:
-            while k + 1 >= len(_DFACT):
-                n = len(_DFACT) - 1
-                _DFACT.append(n * _DFACT[n - 1])
+        while k + 1 >= len(_DFACT):
+            n = len(_DFACT) - 1
+            _DFACT.append(n * _DFACT[n - 1])
     return _DFACT[k + 1]
 
 
@@ -84,7 +81,7 @@ def multinomial(n: int, *parts: int) -> int:
         remaining -= p
     return out
 
-_bernoulli_lock = threading.Lock()
+
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 
 
@@ -99,16 +96,15 @@ def bernoulli(m: int) -> Fraction:
     if m >= 3 and m % 2 == 1:
         raise ValueError(f"odd Bernoulli numbers vanish; refusing B_{m}")
     if m >= len(_BERNOULLI):
-        with _bernoulli_lock:
-            while m >= len(_BERNOULLI):
-                j = len(_BERNOULLI)
-                acc = Fraction(0)
-                for i in range(j):
-                    acc += math.comb(j + 1, i) * _BERNOULLI[i]
-                _BERNOULLI.append(-acc / (j + 1))
+        while m >= len(_BERNOULLI):
+            j = len(_BERNOULLI)
+            acc = Fraction(0)
+            for i in range(j):
+                acc += math.comb(j + 1, i) * _BERNOULLI[i]
+            _BERNOULLI.append(-acc / (j + 1))
     return _BERNOULLI[m]
 
-_euler_lock = threading.Lock()
+
 _EULER: list[int] = [1]
 
 
@@ -120,12 +116,11 @@ def euler_number(n: int) -> int:
     if n < 0:
         raise ValueError(f"Euler number index must be >= 0, got {n}")
     if n >= len(_EULER):
-        with _euler_lock:
-            while n >= len(_EULER):
-                m = len(_EULER)
-                acc = 0
-                for j in range(1, m + 1):
-                    term = math.comb(2 * m, 2 * j) * _EULER[m - j]
-                    acc += term if j % 2 == 1 else -term
-                _EULER.append(acc)
+        while n >= len(_EULER):
+            m = len(_EULER)
+            acc = 0
+            for j in range(1, m + 1):
+                term = math.comb(2 * m, 2 * j) * _EULER[m - j]
+                acc += term if j % 2 == 1 else -term
+            _EULER.append(acc)
     return _EULER[n]

@@ -15,6 +15,16 @@ genus ladder of check_expanded_volume. The insertion-free counterpart
 (g >= 2) inducts on length(b) alone, landing in n >= 1 volumes. A kappa
 factor of index zero is a scalar 2g - 2 + n, never a multi-index entry;
 _times_kappa keeps that case separate.
+
+Both recursions solve the dimension count instead of scanning terms that it
+sets to zero. In _bracket the split V_{g_i,r+2}(L) V_{g-g_i,n+1-r}(L') is
+on dimension only at r = wt(L) + 1 - 3g_i (kept when 0 <= r < n), and then
+so is its second factor, as wt(L) + wt(L') = 3g - 3 + n. In volume_closed
+the three-way split's factor V_{g_i,1}(kappa(e) kappa_wt(L)) needs
+wt(e) + wt(L) = 3g_i - 2, which fixes g_i. Integer weights multiply each
+term, but the fractional ones are applied to whole sums: _bracket halves
+its split sum once, and volume_closed divides its V_{g-1,3} sum by 6 once.
+Fraction sums are exact, so this grouping cannot change a value.
 """
 
 from __future__ import annotations
@@ -31,8 +41,6 @@ from .multiindex import (
     splits3,
 )
 from .numbers import IdentityReport, binomial, double_factorial, factorial, moduli_dim
-
-_HALF = Fraction(1, 2)
 
 
 class VolumeEngine:
@@ -73,27 +81,28 @@ class VolumeEngine:
         """Genus-preserving terms of the n >= 1 recursion: over L + L' = kappa,
         the splits 1/2 C(kappa, L) C(n - 1, r) V_{g_i,r+2}(L) V_{g-g_i,n+1-r}(L')
         (L, L' nonempty) minus the merges C(kappa, L) V_{g,n}(L + delta_wt(L'))
-        (len L' >= 2)."""
-        total = Fraction(0)
+        (len L' >= 2). A split term is nonzero only at r = wt(L) + 1 - 3g_i,
+        which then puts V_{g-g_i,n+1-r}(L') on its dimension as well."""
+        splits = Fraction(0)
+        merges = Fraction(0)
         for left, right in splits2(kappa):
             cb = multi_binomial(kappa, left)
             if right.length >= 2:
-                total -= cb * self.volume(genus, n, left + delta(right.weight))
+                merges += cb * self.volume(genus, n, left + delta(right.weight))
             if not left or not right:
                 continue
             for gi in range(genus + 1):
-                for r in range(n):
-                    first = self.volume(gi, r + 2, left)
-                    if not first:
-                        continue
-                    total += (
-                        _HALF
-                        * cb
-                        * binomial(n - 1, r)
-                        * first
-                        * self.volume(genus - gi, n + 1 - r, right)
+                r = left.weight + 1 - 3 * gi
+                if r < 0:
+                    break
+                if r >= n:
+                    continue
+                first = self.volume(gi, r + 2, left)
+                if first:
+                    splits += (cb * binomial(n - 1, r)) * (
+                        first * self.volume(genus - gi, n + 1 - r, right)
                     )
-        return total
+        return splits / 2 - merges
 
     def volume_closed(self, genus: int, kappa: MultiIndex = ZERO) -> Fraction:
         """V_g(kappa(b)) on the unpointed space; needs genus >= 2."""
@@ -110,33 +119,34 @@ class VolumeEngine:
 
         q = kappa.length
         total = Fraction(0)
+        sixths = Fraction(0)
         for left, right in splits2(kappa):
             cb = multi_binomial(kappa, left)
             total += 5 * cb * self.volume(
                 genus, 1, left + delta(right.weight + 1)
             )
-            total -= (
-                Fraction(1, 6)
-                * cb
-                * self._times_kappa(genus - 1, 3, left, right.weight)
-            )
+            sixths += cb * self._times_kappa(genus - 1, 3, left, right.weight)
+        total -= sixths / 6
         for left, mid, rest in splits3(kappa):
-            ways = multi_multinomial(kappa, left, mid)
-            for gi in range(genus + 1):
-                first = self._times_kappa(gi, 1, mid, left.weight)
-                if not first:
-                    continue
-                total -= ways * first * self.volume(genus - gi, 2, rest)
+            # V_{g_i,1}(kappa(mid) kappa_wt(left)) needs
+            # wt(mid) + wt(left) = 3g_i - 2, both when wt(left) = 0 (the
+            # scalar case) and when it adds delta_wt(left).
+            gi, off = divmod(mid.weight + left.weight + 2, 3)
+            if off or gi > genus:
+                continue
+            first = self._times_kappa(gi, 1, mid, left.weight)
+            if first:
+                total -= (
+                    multi_multinomial(kappa, left, mid)
+                    * first
+                    * self.volume(genus - gi, 2, rest)
+                )
         for left, right in splits2(kappa):
             if right.length < 2:
                 continue
             cb = multi_binomial(kappa, left)
-            total -= (
-                (2 * genus - 1 + q)
-                * cb
-                * self.volume_closed(genus, left + delta(right.weight))
-            )
             bumped = left + delta(right.weight)
+            total -= (2 * genus - 1 + q) * cb * self.volume_closed(genus, bumped)
             inner = Fraction(0)
             for e, f in splits2(bumped):
                 inner += multi_binomial(bumped, e) * self._times_kappa(
