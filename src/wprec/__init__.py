@@ -21,9 +21,7 @@ from .constants import (
     GAMMA_ODD,
     ConstantTable,
     alpha,
-    beta,
     gamma_fact,
-    gamma_kdv,
     gamma_odd,
     shift_polynomial,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "TruncatedSeries",
     "VolumeEngine",
     "alpha",
-    "beta",
     "build_mixed_series",
     "build_psi_series",
     "canonical_shifts",
@@ -107,7 +104,6 @@ __all__ = [
     "default_cache_path",
     "delta",
     "gamma_fact",
-    "gamma_kdv",
     "gamma_odd",
     "indices_of_weight",
     "kappa_partition_terms",

@@ -237,10 +237,10 @@ _IDENTITY = ("", "")
 def _sweep(cases, positive: bool = False):
     """Suite runner: count the cases and stop at the first mismatch."""
 
-    def run(args: argparse.Namespace, max_dim: int):
+    def run(args: argparse.Namespace):
         count = 0
         for count, (name, lhs, rhs, (left, right)) in enumerate(
-            cases(args, max_dim), start=1
+            cases(args), start=1
         ):
             if lhs != rhs:
                 return False, count, f"{name}: {left}{lhs} != {right}{rhs}"
@@ -251,10 +251,10 @@ def _sweep(cases, positive: bool = False):
     return run
 
 
-def _oracle_cases(args: argparse.Namespace, max_dim: int):
+def _oracle_cases(args: argparse.Namespace):
     engine = CorrelatorEngine()
     oracle = KmzOracle()
-    for genus, kappa, psi in correlator_signatures(max_dim):
+    for genus, kappa, psi in correlator_signatures(args.max_dim):
         yield (
             _signature_text(genus, kappa, psi),
             engine.correlator(genus, kappa, psi),
@@ -270,49 +270,49 @@ def _identity_cases(check, signatures):
         yield _signature_text(genus, kappa, psi), report.lhs, report.rhs, _IDENTITY
 
 
-def _transfer_cases(args: argparse.Namespace, max_dim: int):
+def _transfer_cases(args: argparse.Namespace):
     signatures = (
         sig
-        for sig in correlator_signatures(max_dim, min_n=1)
+        for sig in correlator_signatures(args.max_dim, min_n=1)
         if CorrelatorKey.make(*sig) not in INITIAL_VALUES
     )
     return _identity_cases(check_transfer_identity, signatures)
 
 
-def _string_cases(args: argparse.Namespace, max_dim: int):
-    signatures = correlator_signatures(max_dim, min_n=0, shell=1)
+def _string_cases(args: argparse.Namespace):
+    signatures = correlator_signatures(args.max_dim, min_n=0, shell=1)
     return _identity_cases(check_string_identity, signatures)
 
 
-def _dilaton_cases(args: argparse.Namespace, max_dim: int):
-    signatures = correlator_signatures(max_dim, min_n=0)
+def _dilaton_cases(args: argparse.Namespace):
+    signatures = correlator_signatures(args.max_dim, min_n=0)
     return _identity_cases(check_dilaton_identity, signatures)
 
 
-def _kdv_cases(args: argparse.Namespace, max_dim: int):
-    return _identity_cases(check_kdv_identity, kdv_cases(max_dim))
+def _kdv_cases(args: argparse.Namespace):
+    return _identity_cases(check_kdv_identity, kdv_cases(args.max_dim))
 
 
-def _rshift_cases(args: argparse.Namespace, max_dim: int):
+def _rshift_cases(args: argparse.Namespace):
     engine = CorrelatorEngine()
-    for genus, kappa, psi, r in rshift_cases(max_dim):
+    for genus, kappa, psi, r in rshift_cases(args.max_dim):
         report = check_shift_identity(engine, genus, kappa, psi, r)
         name = f"{_signature_text(genus, kappa, psi)} (r={r})"
         yield name, report.lhs, report.rhs, _IDENTITY
 
 
-def _volume_cases(args: argparse.Namespace, max_dim: int):
+def _volume_cases(args: argparse.Namespace):
     volumes = VolumeEngine()
     engine = CorrelatorEngine()
     sides = ("volume ", "correlator ")
-    for genus, n, kappa in volume_signatures(max_dim):
+    for genus, n, kappa in volume_signatures(args.max_dim):
         yield (
             f"V_{{{genus},{n}}}({kappa.to_text() or '1'})",
             volumes.volume(genus, n, kappa),
             engine.correlator(genus, kappa, (0,) * n),
             sides,
         )
-    for genus in range(2, (max_dim + 3) // 3 + 1):
+    for genus in range(2, (args.max_dim + 3) // 3 + 1):
         cap = 4 if genus >= 3 else None
         for kappa in closed_volume_indices(genus, max_length=cap):
             yield (
@@ -323,7 +323,7 @@ def _volume_cases(args: argparse.Namespace, max_dim: int):
             )
 
 
-def _hodge_cases(args: argparse.Namespace, max_dim: int):
+def _hodge_cases(args: argparse.Namespace):
     provider = FileBaseValues(args.provider) if args.provider else None
     engine = HodgeEngine(provider)
     for genus, tag, kappa, psi in hodge_signatures(args.max_genus):
@@ -341,7 +341,7 @@ def _hodge_cases(args: argparse.Namespace, max_dim: int):
         yield name, report.lhs, report.rhs, _IDENTITY
 
 
-def _run_shift(args: argparse.Namespace, max_dim: int):
+def _run_shift(args: argparse.Namespace):
     t_vars = args.cutoff + 1 if args.t_vars is None else args.t_vars
     report = shift_check(
         args.cutoff, args.s_vars, t_vars, CorrelatorEngine(), KmzOracle()
@@ -356,28 +356,34 @@ def _run_shift(args: argparse.Namespace, max_dim: int):
     )
 
 
-def _run_cache(args: argparse.Namespace, max_dim: int):
+def _run_cache(args: argparse.Namespace):
     path = args.cache or default_cache_path()
     if not path:
         raise ValueError("cache suite needs --cache PATH or WPREC_CACHE")
     return check_cache(path)
 
 
-# name: (size, runner(args, max_dim) -> (ok, cases, detail)). The size is
-# the default --max-dim, or for a suite that --max-dim does not size, the
-# option that does.
+# name: (defaults, runner(args) -> (ok, cases, detail)). The defaults map
+# each verify option the suite reads to its value when not given; every
+# other verify option is refused for the suite.
 SUITES = {
-    "oracle": (7, _sweep(_oracle_cases, positive=True)),
-    "transfer": (6, _sweep(_transfer_cases)),
-    "string": (6, _sweep(_string_cases)),
-    "dilaton": (6, _sweep(_dilaton_cases)),
-    "kdv": (6, _sweep(_kdv_cases)),
-    "rshift": (6, _sweep(_rshift_cases)),
-    "volume": (7, _sweep(_volume_cases)),
-    "shift": ("--cutoff", _run_shift),
-    "hodge": ("--max-genus", _sweep(_hodge_cases)),
-    "cache": ("--cache", _run_cache),
+    "oracle": ({"max_dim": 7}, _sweep(_oracle_cases, positive=True)),
+    "transfer": ({"max_dim": 6}, _sweep(_transfer_cases)),
+    "string": ({"max_dim": 6}, _sweep(_string_cases)),
+    "dilaton": ({"max_dim": 6}, _sweep(_dilaton_cases)),
+    "kdv": ({"max_dim": 6}, _sweep(_kdv_cases)),
+    "rshift": ({"max_dim": 6}, _sweep(_rshift_cases)),
+    "volume": ({"max_dim": 7}, _sweep(_volume_cases)),
+    "shift": ({"cutoff": 6, "s_vars": 3, "t_vars": None}, _run_shift),
+    "hodge": ({"max_genus": 3, "provider": None}, _sweep(_hodge_cases)),
+    "cache": ({"cache": None}, _run_cache),
 }
+# Every verify size or path option, in a fixed order for messages.
+_VERIFY_OPTIONS = dict.fromkeys(dest for reads, _ in SUITES.values() for dest in reads)
+
+
+def _flags(dests) -> str:
+    return ", ".join("--" + dest.replace("_", "-") for dest in dests)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -389,14 +395,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = sorted(set(picked))
     if len(names) != 1:
         raise ValueError("choose exactly one suite (--suite NAME)")
-    size, run = SUITES[names[0]]
-    if isinstance(size, str):
-        if args.max_dim is not None:
-            raise ValueError(
-                f"--max-dim does not size the {names[0]} suite; use {size}"
-            )
-        size = None
-    ok, cases, detail = run(args, size if args.max_dim is None else args.max_dim)
+    defaults, run = SUITES[names[0]]
+    refused = [
+        dest
+        for dest in _VERIFY_OPTIONS
+        if dest not in defaults and getattr(args, dest) is not None
+    ]
+    if refused:
+        raise ValueError(
+            f"the {names[0]} suite does not read {_flags(refused)};"
+            f" it reads {_flags(defaults)}"
+        )
+    for dest, value in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+    ok, cases, detail = run(args)
     if ok:
         print(f"PASS ({cases} cases)")
         return 0
@@ -493,13 +506,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--shift", action="store_true", help="shorthand for --suite shift"
     )
-    verify.add_argument("--max-dim", type=_size, default=None)
-    verify.add_argument("--cutoff", type=_size, default=6)
-    verify.add_argument("--s-vars", type=_size, default=3)
-    verify.add_argument(
-        "--t-vars", type=_size, default=None, help="default: cutoff + 1"
-    )
-    verify.add_argument("--max-genus", type=_size, default=3)
+    verify.add_argument("--max-dim", type=_size)
+    verify.add_argument("--cutoff", type=_size)
+    verify.add_argument("--s-vars", type=_size)
+    verify.add_argument("--t-vars", type=_size, help="default: cutoff + 1")
+    verify.add_argument("--max-genus", type=_size)
     verify.add_argument("--provider", metavar="PATH")
     verify.add_argument("--cache", metavar="PATH")
     verify.set_defaults(func=_cmd_verify)

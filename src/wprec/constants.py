@@ -8,8 +8,8 @@ triangular convolution: the table value at b is fixed by requiring
 for b != 0, with c_0 = 1. They differ only in the denominator sequence D:
 odd double factorials (2w+1)!! for the main pivot recursion, (2w-1)!! and
 w! for the two flavours of direct Hodge pairing recursion. Single-row
-values tie out against classical sequences (Bernoulli and secant numbers),
-which the accessors below expose for cross-checking.
+values tie out against classical sequences (Bernoulli and secant numbers);
+the tests hold those closed forms.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .multiindex import ZERO, MultiIndex, indices_of_weight, splits2
-from .numbers import bernoulli, double_factorial, factorial
+from .numbers import double_factorial, factorial
 
 
 class ConstantTable:
@@ -69,35 +69,6 @@ def gamma_odd(b: MultiIndex) -> Fraction:
 def gamma_fact(b: MultiIndex) -> Fraction:
     """Direct-pairing coefficient, factorial flavour."""
     return GAMMA_FACT.value(b)
-
-
-def beta(l: int) -> Fraction:
-    """Generating constants: beta_l = (-1)^(l-1) 2^l (2^(2l) - 2) B_(2l)/(2l)!.
-
-    beta_1, beta_2, beta_3 = 1/3, 7/90, 62/2835; alpha(delta-free rows) has
-    alpha({1: l}) = l! beta_l, checked in the tests.
-    """
-    if l < 1:
-        raise ValueError(f"beta defined for l >= 1, got {l}")
-    sign = 1 if l % 2 else -1
-    return (
-        sign
-        * 2**l
-        * (2 ** (2 * l) - 2)
-        * bernoulli(2 * l)
-        / factorial(2 * l)
-    )
-
-
-def gamma_kdv(b: MultiIndex) -> Fraction:
-    """Closed-form inverse row to alpha under the same convolution:
-
-    gamma_kdv(b) = (-1)^length(b) / (b! (2 weight(b) + 1)!!), so that
-    sum over L + L' = b of (alpha_L / L!) gamma_kdv(L') is 1 at b = 0 and 0
-    otherwise. The duality is frozen in the tests.
-    """
-    sign = -1 if b.length % 2 else 1
-    return Fraction(sign, b.factorial() * double_factorial(2 * b.weight + 1))
 
 
 def shift_polynomial(k: int, max_weight: int) -> dict[MultiIndex, Fraction]:

@@ -38,7 +38,6 @@ from .multiindex import (
     multiset_splits,
     splits2,
     splits3,
-    subsets,
 )
 from .numbers import IdentityReport, double_factorial, moduli_dim
 
@@ -112,15 +111,11 @@ class CorrelatorEngine:
             raise ValueError(f"pivot {pivot} out of range for {key.psi}")
         if (
             not key.psi
-            or self._seed(key) is not None
+            or key in INITIAL_VALUES
             or key.kappa.weight + sum(key.psi) != moduli_dim(genus, len(key.psi))
         ):
             return self._value(key)
         return self._pivot_eval(key.genus, key.kappa, key.psi, pivot)
-
-    @staticmethod
-    def _seed(key: CorrelatorKey) -> Fraction | None:
-        return INITIAL_VALUES.get(key)
 
     def _value(self, key: CorrelatorKey) -> Fraction:
         g, b, d = key
@@ -130,7 +125,7 @@ class CorrelatorEngine:
         found = self.memo.get(key)
         if found is not None:
             return found
-        seed = self._seed(key)
+        seed = INITIAL_VALUES.get(key)
         if seed is not None:
             return self.memo.setdefault(key, seed)
         if n == 0:
@@ -253,17 +248,21 @@ def _split_pairs(
     Sum over L + L' = kappa of C(kappa, L), over complement pairs I, J of
     exps and over g_i = 0..genus of
     <kappa(L) head_i I>_(g_i) <kappa(L') head_j J>_(genus - g_i).
+    The correlators depend on I and J only through their values, so the
+    sum runs over the distinct value splits of exps, each weighted by the
+    number of position subsets that give it (multiset_splits).
     """
     total = Fraction(0)
     for left, right in splits2(kappa):
         cb = multi_binomial(kappa, left)
-        for part_i, part_j in subsets(exps):
+        for part_i, part_j, ways in multiset_splits(exps):
             for gi in range(genus + 1):
                 first = engine.correlator(gi, left, head_i + part_i)
                 if not first:
                     continue
                 total += (
                     cb
+                    * ways
                     * first
                     * engine.correlator(genus - gi, right, head_j + part_j)
                 )

@@ -97,8 +97,9 @@ class DefaultBaseValues(BaseValueProvider):
 class FileBaseValues(BaseValueProvider):
     """Seed values from a text file of lines ``genus,tag,num/den``.
 
-    Blank lines and lines starting with ``#`` are ignored. Missing entries
-    raise LookupError so a partial table fails loudly, never silently.
+    Blank lines and lines starting with ``#`` are ignored. A malformed line
+    raises ValueError naming its file position; missing entries raise
+    LookupError so a partial table fails loudly, never silently.
     """
 
     def __init__(self, path: str):
@@ -113,11 +114,13 @@ class FileBaseValues(BaseValueProvider):
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 3:
                 raise ValueError(f"{path}:{line_no}: expected genus,tag,value")
-            genus = int(parts[0])
             tag = parts[1]
             if tag not in _TAGS:
                 raise ValueError(f"{path}:{line_no}: unknown tag {tag!r}")
-            self._values[(genus, tag)] = Fraction(parts[2])
+            try:
+                self._values[(int(parts[0]), tag)] = Fraction(parts[2])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
 
     def base_value(self, genus: int, tag: str) -> Fraction:
         try:

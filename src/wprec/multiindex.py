@@ -91,9 +91,6 @@ class MultiIndex:
     def __lt__(self, other: "MultiIndex") -> bool:
         return self._entries < other._entries
 
-    def __le__(self, other: "MultiIndex") -> bool:
-        return self._entries <= other._entries
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -180,15 +177,13 @@ def delta(a: int) -> MultiIndex:
 
 def multi_binomial(b: MultiIndex, sub: MultiIndex) -> int:
     """Product of C(b(i), sub(i)); sub must be contained in b."""
-    if not b.contains(sub):
-        raise ValueError(f"{sub} is not contained in {b}")
-    return _multi_binomial_unchecked(b, sub)
-
-
-def _multi_binomial_unchecked(b: MultiIndex, sub: MultiIndex) -> int:
+    counts = dict(b.entries)
     out = 1
-    for i, m in sub:
-        out *= binomial(b[i], m)
+    for i, m in sub.entries:
+        have = counts.get(i, 0)
+        if have < m:
+            raise ValueError(f"{sub} is not contained in {b}")
+        out *= binomial(have, m)
     return out
 
 
@@ -289,22 +284,6 @@ def multiset_partitions(
                     yield ((part, count),) + tail
 
     yield from canonical(m, None)
-
-
-def subsets(items: tuple) -> Iterator[tuple[tuple, tuple]]:
-    """All 2^n ordered complement pairs (I, J) of positions of `items`.
-
-    Yields the picked and left values (not positions), sized small to large
-    and lexicographically within a size, so output order is reproducible.
-    """
-    n = len(items)
-    for size in range(n + 1):
-        for picked in itertools.combinations(range(n), size):
-            chosen = set(picked)
-            yield (
-                tuple(items[i] for i in picked),
-                tuple(items[i] for i in range(n) if i not in chosen),
-            )
 
 
 def multiset_splits(values: tuple) -> Iterator[tuple[tuple, tuple, int]]:

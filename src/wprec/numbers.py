@@ -64,24 +64,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def multinomial(n: int, *parts: int) -> int:
-    """n! / (parts[0]! * ... * rest!), the rest being n - sum(parts).
-
-    The implicit final part must be nonnegative.
-    """
-    if n < 0:
-        raise ValueError(f"multinomial undefined for n={n}")
-    rest = n - sum(parts)
-    if rest < 0 or any(p < 0 for p in parts):
-        raise ValueError(f"multinomial parts {parts} exceed {n}")
-    out = 1
-    remaining = n
-    for p in parts:
-        out *= math.comb(remaining, p)
-        remaining -= p
-    return out
-
-
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 
 

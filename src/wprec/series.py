@@ -155,13 +155,6 @@ class TruncatedSeries:
             {k: v for k, v in self.coeffs.items() if self._weight(*k) <= cutoff},
         )
 
-    def without_s(self) -> "TruncatedSeries":
-        """Restriction to the pure-descendant axis (all s set to zero)."""
-        zero = (0,) * self.s_vars
-        return self._like(
-            {k: v for k, v in self.coeffs.items() if k[0] == zero}
-        )
-
     def coefficient(self, s_exps, t_exps) -> Fraction:
         se = tuple(s_exps)
         te = tuple(t_exps)

@@ -7,14 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import run
 from wprec.cli import main
 from wprec.kmz import KmzOracle
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_compute_examples(capsys):

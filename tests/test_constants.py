@@ -10,14 +10,28 @@ from wprec.constants import (
     GAMMA_ODD,
     ConstantTable,
     alpha,
-    beta,
     gamma_fact,
-    gamma_kdv,
     gamma_odd,
     shift_polynomial,
 )
 from wprec.multiindex import ZERO, MultiIndex, delta, indices_of_weight, splits2
-from wprec.numbers import double_factorial, euler_number, factorial
+from wprec.numbers import bernoulli, double_factorial, euler_number, factorial
+
+
+def beta(l):
+    """Generating constants: beta_l = (-1)^(l-1) 2^l (2^(2l) - 2) B_(2l)/(2l)!,
+    with alpha({1: l}) = l! beta_l."""
+    if l < 1:
+        raise ValueError(f"beta defined for l >= 1, got {l}")
+    sign = 1 if l % 2 else -1
+    return sign * 2**l * (2 ** (2 * l) - 2) * bernoulli(2 * l) / factorial(2 * l)
+
+
+def gamma_kdv(b):
+    """Closed-form inverse row to alpha under the same convolution:
+    (-1)^length(b) / (b! (2 weight(b) + 1)!!)."""
+    sign = -1 if b.length % 2 else 1
+    return Fraction(sign, b.factorial() * double_factorial(2 * b.weight + 1))
 
 
 def _denominator(table):

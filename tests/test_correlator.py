@@ -8,19 +8,23 @@ from fractions import Fraction
 
 import pytest
 
+import wprec.correlator
+from conftest import subsets
 from wprec.constants import ConstantTable
 from wprec.correlator import (
     INITIAL_VALUES,
     CorrelatorEngine,
     CorrelatorKey,
     check_dilaton_identity,
+    check_kdv_identity,
+    check_shift_identity,
     check_string_identity,
     check_transfer_identity,
 )
 from wprec.kmz import KmzOracle
-from wprec.multiindex import ZERO, MultiIndex, delta
+from wprec.multiindex import ZERO, MultiIndex, delta, multi_binomial, splits2
 from wprec.numbers import double_factorial
-from wprec.sweeps import correlator_signatures
+from wprec.sweeps import correlator_signatures, kdv_cases, rshift_cases
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +153,34 @@ def test_transfer_sweep_excluding_seeds(engine):
         if CorrelatorKey.make(genus, kappa, psi) in INITIAL_VALUES:
             continue
         assert check_transfer_identity(engine, genus, kappa, psi).equal
+
+
+def _literal_split_pairs(engine, genus, kappa, exps, head_i, head_j):
+    """The separating-node sum with one term per position subset of exps."""
+    total = Fraction(0)
+    for left, right in splits2(kappa):
+        cb = multi_binomial(kappa, left)
+        for part_i, part_j in subsets(exps):
+            for gi in range(genus + 1):
+                total += (
+                    cb
+                    * engine.correlator(gi, left, head_i + part_i)
+                    * engine.correlator(genus - gi, right, head_j + part_j)
+                )
+    return total
+
+
+def test_split_pairs_equals_the_subset_sum(engine, monkeypatch):
+    """Grouping equal-valued complement pairs leaves every transfer, KdV
+    and shift right side unchanged on all their signatures with dim <= 6."""
+    cases = (
+        [(check_transfer_identity, sig) for sig in correlator_signatures(6, 1)]
+        + [(check_kdv_identity, sig) for sig in kdv_cases(6)]
+        + [(check_shift_identity, sig) for sig in rshift_cases(6)]
+    )
+    grouped = [check(engine, *sig).rhs for check, sig in cases]
+    monkeypatch.setattr(wprec.correlator, "_split_pairs", _literal_split_pairs)
+    assert [check(engine, *sig).rhs for check, sig in cases] == grouped
 
 
 def test_string_identity(engine):

@@ -1,18 +1,13 @@
-"""Inputs that must fail cleanly: poisoned cache seeds, a size option a
-suite does not take, signatures deeper than the recursion limit, and
-negative exponents in the unordered descendant expansion."""
+"""Inputs that must fail cleanly: poisoned cache seeds, verify options a
+suite does not read, malformed Hodge provider lines, signatures deeper
+than the recursion limit, and negative exponents in the unordered
+descendant expansion."""
 
 import pytest
 
-from wprec.cli import main
+from conftest import run
 from wprec.kmz import KmzOracle
 from wprec.multiindex import ZERO, MultiIndex
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_cache_cannot_override_a_seed(capsys, tmp_path):
@@ -41,6 +36,47 @@ def test_verify_refuses_max_dim_where_it_does_not_size(
     )
     assert code == 2 and out == ""
     assert "--max-dim" in err and option in err
+
+
+@pytest.mark.parametrize(
+    "suite, given, refused, reads",
+    [
+        (
+            "volume",
+            ("--cutoff", "2", "--provider", "nothing", "--max-genus", "9"),
+            "--cutoff, --max-genus, --provider",
+            "--max-dim",
+        ),
+        ("oracle", ("--s-vars", "1"), "--s-vars", "--max-dim"),
+        ("shift", ("--max-genus", "2"), "--max-genus", "--cutoff, --s-vars, --t-vars"),
+        ("hodge", ("--cache", "x"), "--cache", "--max-genus, --provider"),
+        ("cache", ("--t-vars", "3"), "--t-vars", "--cache"),
+    ],
+)
+def test_verify_refuses_options_the_suite_does_not_read(
+    capsys, suite, given, refused, reads
+):
+    code, out, err = run(capsys, "verify", "--suite", suite, *given)
+    assert code == 2 and out == ""
+    assert err == (
+        f"wprec: the {suite} suite does not read {refused}; it reads {reads}\n"
+    )
+
+
+@pytest.mark.parametrize("line", ["1,lambda_g,1/0", "x,lambda_g,1", "1,lambda_g,x"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("hodge", "-g", "2", "--tag", "lambda_g", "--psi", "0,3"),
+        ("verify", "--suite", "hodge"),
+    ],
+)
+def test_bad_provider_line_names_its_position(capsys, tmp_path, line, command):
+    path = tmp_path / "base.txt"
+    path.write_text(f"# seeds\n{line}\n")
+    code, out, err = run(capsys, *command, "--provider", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"wprec: {path}:2: ") and err.count("\n") == 1
 
 
 def test_too_deep_signature_fails_cleanly(capsys):

@@ -5,11 +5,11 @@ prod(m+1) for two-way splits, 2^n for subsets, a plain partition-count
 recurrence for indices_of_weight.
 """
 
-import itertools
 from math import factorial, prod
 
 import pytest
 
+from conftest import subsets
 from wprec.multiindex import (
     ZERO,
     MultiIndex,
@@ -22,7 +22,6 @@ from wprec.multiindex import (
     ordered_nonempty_partitions,
     splits2,
     splits3,
-    subsets,
 )
 
 
@@ -90,6 +89,8 @@ def test_multi_binomial_and_multinomial():
     assert multi_binomial(b, b) == 1
     with pytest.raises(ValueError):
         multi_binomial(sub, b)
+    with pytest.raises(ValueError):
+        multi_binomial(b, MultiIndex({3: 1}))
     # Dealing all copies out: multinomial of the multiplicities.
     assert multi_multinomial(b, MultiIndex({1: 1}), MultiIndex({1: 1})) == 6
     assert multi_multinomial(b) == 1
@@ -150,16 +151,6 @@ def test_multiset_partitions_consistent_with_ordered():
             for k, expected in by_k.items():
                 got = sum(1 for _ in ordered_nonempty_partitions(m, k))
                 assert got == expected
-
-
-def test_subsets_enumeration():
-    items = (3, 1, 1)
-    pairs = list(subsets(items))
-    assert len(pairs) == 2 ** len(items)
-    assert pairs[0] == ((), (3, 1, 1))
-    assert pairs[-1] == ((3, 1, 1), ())
-    for picked, left in pairs:
-        assert sorted(picked + left) == sorted(items)
 
 
 def test_multiset_splits_regroups_subsets():

@@ -1,7 +1,7 @@
 """Integer sequence tables: frozen values and independent oracles."""
 
 from fractions import Fraction
-from math import comb, factorial as fact, prod
+from math import comb, prod
 
 import pytest
 
@@ -12,7 +12,6 @@ from wprec.numbers import (
     euler_number,
     factorial,
     moduli_dim,
-    multinomial,
 )
 
 
@@ -51,27 +50,6 @@ def test_factorial_and_binomial():
         factorial(-1)
     with pytest.raises(ValueError):
         binomial(-2, 0)
-
-
-def test_multinomial_against_factorial_ratio():
-    for n in range(9):
-        for a in range(n + 1):
-            for b in range(n - a + 1):
-                rest = n - a - b
-                expected = fact(n) // (fact(a) * fact(b) * fact(rest))
-                assert multinomial(n, a, b) == expected
-
-
-def test_multinomial_edge_cases():
-    assert multinomial(0) == 1
-    assert multinomial(4) == 1
-    assert multinomial(4, 4) == 1
-    with pytest.raises(ValueError):
-        multinomial(3, 2, 2)
-    with pytest.raises(ValueError):
-        multinomial(-1)
-    with pytest.raises(ValueError):
-        multinomial(3, -1)
 
 
 def test_bernoulli_frozen():

@@ -2,16 +2,7 @@
 
 import pytest
 
-from wprec.cli import main
-
-
-def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from conftest import run
 
 
 @pytest.mark.parametrize(

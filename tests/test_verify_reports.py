@@ -4,16 +4,7 @@ of the first mismatch, and usage errors for negative sizes."""
 import pytest
 
 import wprec.series
-from wprec.cli import main
-
-
-def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from conftest import run
 
 
 def test_shift_fail_line_labels_and_position(capsys, monkeypatch):
