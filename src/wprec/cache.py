@@ -12,8 +12,10 @@ append-only: saving writes only keys not already present, in sorted
 order, so re-running a warmed computation leaves the file
 byte-identical.  Cached values are trusted on load, but never override
 the built-in seeds (``INITIAL_VALUES``): a wrong seed record makes the next
-save that reaches that seed fail.  ``check_cache`` recomputes every record
-with a fresh engine.
+save that reaches that seed fail.  A record for an unstable or
+off-dimension signature, which the engine never writes, is a load error,
+so the engine's memo only ever holds signatures its dimension gate
+admits.  ``check_cache`` recomputes every record with a fresh engine.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .correlator import INITIAL_VALUES, CorrelatorEngine, CorrelatorKey
+from .numbers import moduli_dim
 
 CACHE_HEADER = "wprec-cache v1"
 
@@ -41,7 +44,8 @@ def _format_value(value: Fraction) -> str:
 
 
 def load_cache(path: str | os.PathLike[str]) -> dict[CorrelatorKey, Fraction]:
-    """Parse a cache file; malformed or conflicting lines raise ValueError."""
+    """Parse a cache file; malformed, conflicting, unstable or off-dimension
+    lines raise ValueError."""
     text = Path(path).read_text(encoding="ascii")
     lines = text.split("\n")
     if not lines or lines[0] != CACHE_HEADER:
@@ -58,6 +62,11 @@ def load_cache(path: str | os.PathLike[str]) -> dict[CorrelatorKey, Fraction]:
             value = Fraction(parts[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        dim = moduli_dim(key.genus, len(key.psi))
+        if dim < 0:
+            raise ValueError(f"{path}:{lineno}: unstable signature {parts[0]}")
+        if key.kappa.weight + sum(key.psi) != dim:
+            raise ValueError(f"{path}:{lineno}: {parts[0]} is off dimension")
         if key in records and records[key] != value:
             raise ValueError(f"{path}:{lineno}: conflicting value for {parts[0]}")
         records[key] = value

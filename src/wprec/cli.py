@@ -79,10 +79,17 @@ def _size(text: str) -> int:
     return int(text)
 
 
+def _places(text: str) -> int:
+    """argparse type of --decimal: 0 to 1000 places."""
+    if not (text.isdecimal() and len(text) <= 4 and int(text) <= 1000):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from 0 to 1000, got {text!r}"
+        )
+    return int(text)
+
+
 def _decimal_text(value: Fraction, places: int) -> str:
     """Exact round-half-even decimal rendering with the given scale."""
-    if places < 0:
-        raise ValueError(f"decimal places must be >= 0, got {places}")
     scaled = round(value * Fraction(10) ** places)
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(places + 1, "0")
@@ -106,10 +113,10 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit json")
     parser.add_argument(
         "--decimal",
-        type=int,
+        type=_places,
         default=None,
         metavar="N",
-        help="also render the value with N decimal places",
+        help="also render the value with N decimal places (0 to 1000)",
     )
 
 

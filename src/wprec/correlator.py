@@ -9,7 +9,10 @@ either merges with another insertion (kappa shedding a sub-index L into the
 merged exponent, weighted by the alpha table), drops the genus by splitting
 into a pair of fresh insertions, or separates the surface into two factors.
 Each move lowers the dimension 3g - 3 + n, so the recursion terminates on
-the three dimension-one-or-zero seeds.
+the three dimension-one-or-zero seeds. In a separating split the genus
+g_i = (dim_i + r) / 3 is solved, so r runs over one residue class mod 3;
+each L's terms are summed with int weights before alpha(L) C(b, L) / 2 is
+applied, and 1/(2d + 1)!! once per evaluation.
 
 Insertion-free correlators (n = 0, forced g >= 2) are first traded for
 one-point ones through the signed dilaton-type relation
@@ -34,10 +37,8 @@ from .multiindex import (
     ZERO,
     MultiIndex,
     multi_binomial,
-    multi_multinomial,
     multiset_splits,
     splits2,
-    splits3,
 )
 from .numbers import IdentityReport, double_factorial, moduli_dim
 
@@ -118,13 +119,13 @@ class CorrelatorEngine:
         return self._pivot_eval(key.genus, key.kappa, key.psi, pivot)
 
     def _value(self, key: CorrelatorKey) -> Fraction:
+        found = self.memo.get(key)
+        if found is not None:
+            return found
         g, b, d = key
         n = len(d)
         if b.weight + sum(d) != moduli_dim(g, n):
             return Fraction(0)
-        found = self.memo.get(key)
-        if found is not None:
-            return found
         seed = INITIAL_VALUES.get(key)
         if seed is not None:
             return self.memo.setdefault(key, seed)
@@ -140,6 +141,7 @@ class CorrelatorEngine:
         dp = d[pivot]
         others = d[:pivot] + d[pivot + 1 :]
         alpha = self._alpha
+        value = self._value
         total = Fraction(0)
 
         counts: dict[int, int] = {}
@@ -148,39 +150,42 @@ class CorrelatorEngine:
             counts[v] = counts.get(v, 0) + 1
             if v not in removed:
                 removed[v] = others[:pos] + others[pos + 1 :]
+        # Each split I + J of the others, with sum(I) + 2 - len(I).
+        pairs = [
+            (part_i, part_j, ways, sum(part_i) + 2 - len(part_i))
+            for part_i, part_j, ways in multiset_splits(others)
+        ]
 
         for left, rest_kappa in splits2(b):
             a = alpha(left)
             if not a:
                 continue
-            cb = a * multi_binomial(b, left)
             base = left.weight + dp
+            acc = 0  # 2 / (alpha(L) C(b, L)) times this L's terms
             for v, c in counts.items():
                 merged = base + v - 1
                 if merged < 0:
                     continue
-                coeff = (
-                    cb
+                acc += (
+                    2
                     * c
                     * double_factorial(2 * (base + v) - 1)
-                    / double_factorial(2 * v - 1)
-                )
-                total += coeff * self._value(
-                    CorrelatorKey(
-                        g,
-                        rest_kappa,
-                        tuple(sorted(removed[v] + (merged,), reverse=True)),
+                    // double_factorial(2 * v - 1)
+                    * value(
+                        CorrelatorKey(
+                            g,
+                            rest_kappa,
+                            tuple(sorted(removed[v] + (merged,), reverse=True)),
+                        )
                     )
                 )
-            if g >= 1 and base >= 2:
+            if g >= 1:
                 for r in range(base - 1):
                     s = base - 2 - r
-                    total += (
-                        _HALF
-                        * cb
-                        * double_factorial(2 * r + 1)
+                    acc += (
+                        double_factorial(2 * r + 1)
                         * double_factorial(2 * s + 1)
-                        * self._value(
+                        * value(
                             CorrelatorKey(
                                 g - 1,
                                 rest_kappa,
@@ -188,49 +193,42 @@ class CorrelatorEngine:
                             )
                         )
                     )
-
-        for left, mid, rest in splits3(b):
-            base = left.weight + dp
-            if base < 2:
-                continue
-            a = alpha(left)
-            if not a:
-                continue
-            w = a * multi_multinomial(b, left, mid)
-            for part_i, part_j, ways in multiset_splits(others):
-                dim_i = mid.weight + sum(part_i) + 2 - len(part_i)
-                for r in range(base - 1):
-                    s = base - 2 - r
-                    if (dim_i + r) % 3:
-                        continue
-                    gi = (dim_i + r) // 3
-                    if gi < 0 or gi > g:
-                        continue
-                    first = self._value(
-                        CorrelatorKey(
-                            gi, mid, tuple(sorted(part_i + (r,), reverse=True))
-                        )
-                    )
-                    if not first:
-                        continue
-                    second = self._value(
-                        CorrelatorKey(
-                            g - gi,
-                            rest,
-                            tuple(sorted(part_j + (s,), reverse=True)),
-                        )
-                    )
-                    if not second:
-                        continue
-                    total += (
-                        _HALF
-                        * w
-                        * ways
-                        * double_factorial(2 * r + 1)
-                        * double_factorial(2 * s + 1)
-                        * first
-                        * second
-                    )
+            if base >= 2:
+                for mid, rest in splits2(rest_kappa):
+                    cm = multi_binomial(rest_kappa, mid)
+                    for part_i, part_j, ways, shift in pairs:
+                        dim_i = mid.weight + shift
+                        # g_i = (dim_i + r) / 3 must be an integer in 0..g.
+                        low = max(0, -dim_i)
+                        low += -(dim_i + low) % 3
+                        for r in range(low, min(base - 2, 3 * g - dim_i) + 1, 3):
+                            gi = (dim_i + r) // 3
+                            first = value(
+                                CorrelatorKey(
+                                    gi, mid, tuple(sorted(part_i + (r,), reverse=True))
+                                )
+                            )
+                            if not first:
+                                continue
+                            s = base - 2 - r
+                            second = value(
+                                CorrelatorKey(
+                                    g - gi,
+                                    rest,
+                                    tuple(sorted(part_j + (s,), reverse=True)),
+                                )
+                            )
+                            if not second:
+                                continue
+                            acc += (
+                                cm
+                                * ways
+                                * double_factorial(2 * r + 1)
+                                * double_factorial(2 * s + 1)
+                                * (first * second)
+                            )
+            if acc:  # still the int 0 when no term contributed
+                total += a * multi_binomial(b, left) * acc / 2
 
         return total / double_factorial(2 * dp + 1)
 

@@ -97,9 +97,10 @@ class DefaultBaseValues(BaseValueProvider):
 class FileBaseValues(BaseValueProvider):
     """Seed values from a text file of lines ``genus,tag,num/den``.
 
-    Blank lines and lines starting with ``#`` are ignored. A malformed line
-    raises ValueError naming its file position; missing entries raise
-    LookupError so a partial table fails loudly, never silently.
+    Blank lines and lines starting with ``#`` are ignored. A malformed line,
+    or a repeat of a (genus, tag) with a different value, raises ValueError
+    naming its file position; missing entries raise LookupError so a
+    partial table fails loudly, never silently.
     """
 
     def __init__(self, path: str):
@@ -118,9 +119,13 @@ class FileBaseValues(BaseValueProvider):
             if tag not in _TAGS:
                 raise ValueError(f"{path}:{line_no}: unknown tag {tag!r}")
             try:
-                self._values[(int(parts[0]), tag)] = Fraction(parts[2])
+                key, value = (int(parts[0]), tag), Fraction(parts[2])
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
+            if self._values.setdefault(key, value) != value:
+                raise ValueError(
+                    f"{path}:{line_no}: conflicting value for {parts[0]},{tag}"
+                )
 
     def base_value(self, genus: int, tag: str) -> Fraction:
         try:

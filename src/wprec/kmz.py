@@ -24,8 +24,6 @@ from .multiindex import (
 )
 from .numbers import double_factorial, factorial, moduli_dim
 
-_HALF = Fraction(1, 2)
-
 _partition_terms_cache: dict[MultiIndex, tuple[tuple[Fraction, tuple[int, ...]], ...]] = {}
 
 
@@ -61,7 +59,7 @@ class KmzOracle:
     """Mixed correlators by reduction to pure descendant integrals."""
 
     def __init__(self) -> None:
-        self._psi_memo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+        self._psi_memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def pure_psi(self, genus: int, psi) -> Fraction:
         """Descendant integral with no kappa factors.
@@ -82,12 +80,29 @@ class KmzOracle:
         return exps
 
     def _pure(self, genus: int, exps: tuple[int, ...]) -> Fraction:
-        if sum(exps) != moduli_dim(genus, len(exps)):
+        scaled = self._scaled(genus, exps)
+        if not scaled:
             return Fraction(0)
+        denom = 2 ** (4 * genus - 2 + len(exps))
+        for d in exps:
+            denom *= double_factorial(2 * d + 1)
+        return Fraction(scaled, denom)
+
+    def _scaled(self, genus: int, exps: tuple[int, ...]) -> int:
+        """N(g, d) = 2^(4g - 2 + n) prod (2d_i + 1)!! <tau_d>_g, an int.
+
+        With r + s = d_1 - 2, DVV reads N = sum_v 2 c_v (2v + 1) N(g, merged)
+        + 4 sum_r N(g - 1, others + (r, s)) + sum_(I, J, r) ways
+        N(g_i, I + r) N(g - g_i, J + s) from N(0, (0, 0, 0)) = 2 and
+        N(1, (1,)) = 1: each move's power of two covers its halvings, so
+        nothing is divided. g_i = (r + sum(I) + 2 - len(I)) / 3 is solved.
+        """
+        if sum(exps) != moduli_dim(genus, len(exps)):
+            return 0
         if genus == 0 and exps == (0, 0, 0):
-            return Fraction(1)
+            return 2
         if genus == 1 and exps == (1,):
-            return Fraction(1, 24)
+            return 1
         key = (genus, exps)
         found = self._psi_memo.get(key)
         if found is not None:
@@ -95,61 +110,45 @@ class KmzOracle:
 
         d1 = exps[0]
         others = exps[1:]
-        total = Fraction(0)
+        total = 0
 
         removed: dict[int, tuple[int, ...]] = {}
         for pos, v in enumerate(others):
             if v not in removed:
                 removed[v] = others[:pos] + others[pos + 1 :]
-        counts: dict[int, int] = {}
-        for v in others:
-            counts[v] = counts.get(v, 0) + 1
         for v, rest in removed.items():
             merged = d1 + v - 1
             if merged < 0:
                 continue
-            coeff = Fraction(
-                counts[v] * double_factorial(2 * (d1 + v) - 1),
-                double_factorial(2 * v - 1),
-            )
-            total += coeff * self._pure(
-                genus, tuple(sorted(rest + (merged,), reverse=True))
+            total += (
+                2
+                * others.count(v)
+                * (2 * v + 1)
+                * self._scaled(genus, tuple(sorted(rest + (merged,), reverse=True)))
             )
 
         if d1 >= 2:
-            for r in range(d1 - 1):
-                s = d1 - 2 - r
-                weight = double_factorial(2 * r + 1) * double_factorial(2 * s + 1)
-                if genus >= 1:
-                    total += (
-                        _HALF
-                        * weight
-                        * self._pure(
-                            genus - 1,
-                            tuple(sorted(others + (r, s), reverse=True)),
-                        )
+            if genus >= 1:
+                for r in range(d1 - 1):
+                    total += 4 * self._scaled(
+                        genus - 1, tuple(sorted(others + (r, d1 - 2 - r), reverse=True))
                     )
-                for part_i, part_j, ways in multiset_splits(others):
-                    dim_i = r + sum(part_i) + 2 - len(part_i)
-                    if dim_i % 3:
-                        continue
-                    gi = dim_i // 3
-                    if gi < 0 or gi > genus:
-                        continue
-                    left = self._pure(
-                        gi, tuple(sorted(part_i + (r,), reverse=True))
-                    )
+            for part_i, part_j, ways in multiset_splits(others):
+                dim_i = sum(part_i) + 2 - len(part_i)
+                # g_i = (dim_i + r) / 3 must be an integer in 0..genus.
+                low = max(0, -dim_i)
+                low += -(dim_i + low) % 3
+                for r in range(low, min(d1 - 2, 3 * genus - dim_i) + 1, 3):
+                    gi = (dim_i + r) // 3
+                    left = self._scaled(gi, tuple(sorted(part_i + (r,), reverse=True)))
                     if not left:
                         continue
-                    right = self._pure(
-                        genus - gi, tuple(sorted(part_j + (s,), reverse=True))
+                    right = self._scaled(
+                        genus - gi, tuple(sorted(part_j + (d1 - 2 - r,), reverse=True))
                     )
-                    if not right:
-                        continue
-                    total += _HALF * weight * ways * left * right
+                    total += ways * left * right
 
-        result = total / double_factorial(2 * d1 + 1)
-        return self._psi_memo.setdefault(key, result)
+        return self._psi_memo.setdefault(key, total)
 
     def kmz_expand(self, genus: int, kappa: MultiIndex, psi) -> Fraction:
         """Mixed correlator through the ordered-partition descendant sum.
