@@ -16,11 +16,19 @@ save that reaches that seed fail.  A record for an unstable or
 off-dimension signature, which the engine never writes, is a load error,
 so the engine's memo only ever holds signatures its dimension gate
 admits.  ``check_cache`` recomputes every record with a fresh engine.
+
+Every line, the header included, ends in a newline.  A final line without
+one is what a crash in the middle of an append leaves behind, so it is not
+trusted: ``load_cache`` drops it with one ``wprec: warning: PATH:LINE: ...``
+line on stderr, and ``save_new_records`` cuts it off before it appends.  The
+value it held is recomputed.  A file without a complete header line is
+refused.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -45,9 +53,27 @@ def _format_value(value: Fraction) -> str:
 
 def load_cache(path: str | os.PathLike[str]) -> dict[CorrelatorKey, Fraction]:
     """Parse a cache file; malformed, conflicting, unstable or off-dimension
-    lines raise ValueError."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.split("\n")
+    lines raise ValueError.  An unterminated final line is dropped with a
+    warning on stderr."""
+    records, _, partial = _read_records(path)
+    if partial is not None:
+        print(
+            f"wprec: warning: {path}:{partial}: unterminated final line dropped",
+            file=sys.stderr,
+        )
+    return records
+
+
+def _read_records(
+    path: str | os.PathLike[str],
+) -> tuple[dict[CorrelatorKey, Fraction], int, int | None]:
+    """The records of a cache file's newline-terminated lines, the byte
+    length of those lines, and the line number of an unterminated final
+    line (None when the file ends in a newline)."""
+    raw = Path(path).read_bytes()
+    complete = raw.rfind(b"\n") + 1
+    lines = raw[:complete].decode("ascii").splitlines()
+    partial = len(lines) + 1 if complete < len(raw) else None
     if not lines or lines[0] != CACHE_HEADER:
         raise ValueError(f"{path}:1: expected header {CACHE_HEADER!r}")
     records: dict[CorrelatorKey, Fraction] = {}
@@ -70,7 +96,7 @@ def load_cache(path: str | os.PathLike[str]) -> dict[CorrelatorKey, Fraction]:
         if key in records and records[key] != value:
             raise ValueError(f"{path}:{lineno}: conflicting value for {parts[0]}")
         records[key] = value
-    return records
+    return records, complete, partial
 
 
 def save_new_records(
@@ -79,13 +105,15 @@ def save_new_records(
 ) -> int:
     """Append records whose keys are absent; return how many were written.
 
-    Creates the file (with header) when missing.  A key already present
-    with a different value is a corruption signal and raises.
+    Creates the file (with header) when missing, and cuts off an
+    unterminated final line before appending.  A key already present with a
+    different value is a corruption signal and raises.
     """
     target = Path(path)
     existing: dict[CorrelatorKey, Fraction] = {}
+    complete = partial = None
     if target.exists():
-        existing = load_cache(target)
+        existing, complete, partial = _read_records(target)
     fresh = {}
     for key, value in records.items():
         if key in existing:
@@ -95,8 +123,10 @@ def save_new_records(
                 )
         else:
             fresh[key] = value
-    if not target.exists():
+    if complete is None:
         target.write_text(CACHE_HEADER + "\n", encoding="ascii")
+    elif partial is not None:
+        os.truncate(target, complete)
     with open(target, "a", encoding="ascii") as handle:
         for key in sorted(fresh):
             handle.write(f"{key.text()}\t{_format_value(fresh[key])}\n")

@@ -10,9 +10,12 @@ merged exponent, weighted by the alpha table), drops the genus by splitting
 into a pair of fresh insertions, or separates the surface into two factors.
 Each move lowers the dimension 3g - 3 + n, so the recursion terminates on
 the three dimension-one-or-zero seeds. In a separating split the genus
-g_i = (dim_i + r) / 3 is solved, so r runs over one residue class mod 3;
-each L's terms are summed with int weights before alpha(L) C(b, L) / 2 is
-applied, and 1/(2d + 1)!! once per evaluation.
+g_i = (dim_i + r) / 3 is solved, so r runs over one residue class mod 3.
+No Fraction arithmetic happens inside an evaluation: each sub-value is
+read once as an integer pair, each L's terms are added with int weights
+into an unreduced pair (numbers.add_ratio), alpha(L) C(b, L) folds that pair
+into the evaluation's pair, and the one division, by 2 (2d + 1)!!, builds
+the single normalised Fraction that the memo stores.
 
 Insertion-free correlators (n = 0, forced g >= 2) are first traded for
 one-point ones through the signed dilaton-type relation
@@ -40,7 +43,7 @@ from .multiindex import (
     multiset_splits,
     splits2,
 )
-from .numbers import IdentityReport, double_factorial, moduli_dim
+from .numbers import IdentityReport, add_ratio, double_factorial, moduli_dim
 
 _HALF = Fraction(1, 2)
 
@@ -142,7 +145,6 @@ class CorrelatorEngine:
         others = d[:pivot] + d[pivot + 1 :]
         alpha = self._alpha
         value = self._value
-        total = Fraction(0)
 
         counts: dict[int, int] = {}
         removed: dict[int, tuple[int, ...]] = {}
@@ -156,43 +158,50 @@ class CorrelatorEngine:
             for part_i, part_j, ways in multiset_splits(others)
         ]
 
+        total_n, total_d = 0, 1
         for left, rest_kappa in splits2(b):
             a = alpha(left)
             if not a:
                 continue
             base = left.weight + dp
-            acc = 0  # 2 / (alpha(L) C(b, L)) times this L's terms
+            # 2 / (alpha(L) C(b, L)) times this L's terms, as acc_n / acc_d.
+            acc_n, acc_d = 0, 1
             for v, c in counts.items():
                 merged = base + v - 1
                 if merged < 0:
                     continue
-                acc += (
+                vn, vd = value(
+                    CorrelatorKey(
+                        g,
+                        rest_kappa,
+                        tuple(sorted(removed[v] + (merged,), reverse=True)),
+                    )
+                ).as_integer_ratio()
+                acc_n, acc_d = add_ratio(
+                    acc_n,
+                    acc_d,
                     2
                     * c
                     * double_factorial(2 * (base + v) - 1)
                     // double_factorial(2 * v - 1)
-                    * value(
-                        CorrelatorKey(
-                            g,
-                            rest_kappa,
-                            tuple(sorted(removed[v] + (merged,), reverse=True)),
-                        )
-                    )
+                    * vn,
+                    vd,
                 )
+            # (2r + 1)!! (2s + 1)!! for r + s = base - 2, indexed by r.
+            odd = [
+                double_factorial(2 * r + 1) * double_factorial(2 * (base - r) - 3)
+                for r in range(base - 1)
+            ]
             if g >= 1:
                 for r in range(base - 1):
-                    s = base - 2 - r
-                    acc += (
-                        double_factorial(2 * r + 1)
-                        * double_factorial(2 * s + 1)
-                        * value(
-                            CorrelatorKey(
-                                g - 1,
-                                rest_kappa,
-                                tuple(sorted(others + (r, s), reverse=True)),
-                            )
+                    vn, vd = value(
+                        CorrelatorKey(
+                            g - 1,
+                            rest_kappa,
+                            tuple(sorted(others + (r, base - 2 - r), reverse=True)),
                         )
-                    )
+                    ).as_integer_ratio()
+                    acc_n, acc_d = add_ratio(acc_n, acc_d, odd[r] * vn, vd)
             if base >= 2:
                 for mid, rest in splits2(rest_kappa):
                     cm = multi_binomial(rest_kappa, mid)
@@ -203,34 +212,36 @@ class CorrelatorEngine:
                         low += -(dim_i + low) % 3
                         for r in range(low, min(base - 2, 3 * g - dim_i) + 1, 3):
                             gi = (dim_i + r) // 3
-                            first = value(
+                            fn, fd = value(
                                 CorrelatorKey(
                                     gi, mid, tuple(sorted(part_i + (r,), reverse=True))
                                 )
-                            )
-                            if not first:
+                            ).as_integer_ratio()
+                            if not fn:
                                 continue
                             s = base - 2 - r
-                            second = value(
+                            sn, sd = value(
                                 CorrelatorKey(
                                     g - gi,
                                     rest,
                                     tuple(sorted(part_j + (s,), reverse=True)),
                                 )
-                            )
-                            if not second:
+                            ).as_integer_ratio()
+                            if not sn:
                                 continue
-                            acc += (
-                                cm
-                                * ways
-                                * double_factorial(2 * r + 1)
-                                * double_factorial(2 * s + 1)
-                                * (first * second)
+                            acc_n, acc_d = add_ratio(
+                                acc_n, acc_d, cm * ways * odd[r] * fn * sn, fd * sd
                             )
-            if acc:  # still the int 0 when no term contributed
-                total += a * multi_binomial(b, left) * acc / 2
+            if acc_n:
+                an, ad = a.as_integer_ratio()
+                total_n, total_d = add_ratio(
+                    total_n,
+                    total_d,
+                    an * multi_binomial(b, left) * acc_n,
+                    ad * acc_d,
+                )
 
-        return total / double_factorial(2 * dp + 1)
+        return Fraction(total_n, 2 * total_d * double_factorial(2 * dp + 1))
 
 
 def _split_pairs(

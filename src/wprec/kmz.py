@@ -8,10 +8,20 @@ descendant values underneath come from the classical genus-reducing
 recursion on the largest exponent. Nothing here touches the coefficient
 tables or the pivot engine, so agreement between the two routes is a real
 consistency check, not a tautology.
+
+The pure descendant values are kept as the integers
+N(g, d) = 2^(4g - 2 + n) prod (2d_i + 1)!! <tau_d>_g, so the DVV recursion
+never divides. kmz_expand stays on integers as well: per kappa it caches
+one table of int coefficients c_t over a common scale, one per distinct
+set of extra exponents, adds c_t N(g, exps + extra_t) as ints, and makes
+its single division, by
+scale 2^(4g - 2 + n) prod (2d_i + 1)!!, when it builds the one Fraction it
+returns.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .multiindex import (
@@ -60,6 +70,9 @@ class KmzOracle:
 
     def __init__(self) -> None:
         self._psi_memo: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._expansions: dict[
+            MultiIndex, tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]
+        ] = {}
 
     def pure_psi(self, genus: int, psi) -> Fraction:
         """Descendant integral with no kappa factors.
@@ -162,12 +175,47 @@ class KmzOracle:
         if not kappa:
             return self._pure(genus, exps)
 
-        total = Fraction(0)
+        scale, terms = self._expansion(kappa)
+        total = 0
+        for c, extra in terms:
+            total += c * self._scaled(genus, tuple(sorted(exps + extra, reverse=True)))
+        denom = scale * 2 ** (4 * genus - 2 + len(exps))
+        for d in exps:
+            denom *= double_factorial(2 * d + 1)
+        return Fraction(total, denom)
+
+    def _expansion(
+        self, kappa: MultiIndex
+    ) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+        """(scale, ((c_t, extra_t), ...)) for one kappa, built once.
+
+        The kappa_partition_terms with equal extra exponents are merged, so
+        each extra_t appears once, with w_t the sum of their coefficients.
+        c_t = scale w_t / (2^k_t prod_(e in extra_t) (2e + 1)!!) is an int,
+        with k_t = len(extra_t). As <tau_(d + extra_t)>_g is
+        N(g, d + extra_t) / (2^(4g - 2 + n + k_t) prod (2d_i + 1)!!
+        prod (2e + 1)!!), the expansion equals
+        sum_t c_t N(g, d + extra_t) / (scale 2^(4g - 2 + n) prod (2d_i + 1)!!).
+        """
+        found = self._expansions.get(kappa)
+        if found is not None:
+            return found
+        weights: dict[tuple[int, ...], Fraction] = {}
         for coeff, extra in kappa_partition_terms(kappa):
-            total += coeff * self._pure(
-                genus, tuple(sorted(exps + extra, reverse=True))
-            )
-        return total
+            den = 1 << len(extra)
+            for e in extra:
+                den *= double_factorial(2 * e + 1)
+            weights[extra] = weights.get(extra, 0) + coeff / den
+        scale = math.lcm(*(w.denominator for w in weights.values()))
+        table = (
+            scale,
+            tuple(
+                (w.numerator * (scale // w.denominator), extra)
+                for extra, w in weights.items()
+                if w
+            ),
+        )
+        return self._expansions.setdefault(kappa, table)
 
     def kmz_expand_unordered(self, genus: int, kappa: MultiIndex, psi) -> Fraction:
         """Same sum regrouped over unordered partitions with multiplicities.

@@ -7,6 +7,11 @@ Everything returns ints or Fractions, never floats. moduli_dim is the one
 stability and dimension gate that every route applies, and IdentityReport
 the result type of the identity checks; both live here, in the one module
 that every route imports, so that no route has to import another.
+
+add_ratio is the arithmetic under the hot kernels of every route: a kernel
+adds its terms as an unreduced integer pair (numerator, denominator) and
+builds one normalised Fraction when its evaluation ends, so the gcds of a
+Fraction are paid once per evaluation instead of once per term.
 """
 
 from __future__ import annotations
@@ -47,6 +52,21 @@ class IdentityReport(NamedTuple):
     equal: bool
     lhs: Fraction
     rhs: Fraction
+
+
+def add_ratio(num: int, den: int, xn: int, xd: int) -> tuple[int, int]:
+    """num/den + xn/xd as an unreduced pair over lcm(den, xd).
+
+    Both denominators must be positive. Equal denominators, the common case
+    inside one sum, cost one integer addition.
+    """
+    if den == xd:
+        return num + xn, den
+    g = math.gcd(den, xd)
+    if g == 1:
+        return num * xd + xn * den, den * xd
+    step = xd // g
+    return num * step + xn * (den // g), den * step
 
 
 def factorial(n: int) -> int:

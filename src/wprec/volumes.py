@@ -24,7 +24,13 @@ the three-way split's factor V_{g_i,1}(kappa(e) kappa_wt(L)) needs
 wt(e) + wt(L) = 3g_i - 2, which fixes g_i. Integer weights multiply each
 term, but the fractional ones are applied to whole sums: _bracket halves
 its split sum once, and volume_closed divides its V_{g-1,3} sum by 6 once.
-Fraction sums are exact, so this grouping cannot change a value.
+
+No Fraction arithmetic happens inside a sum either. Each sub-value is read
+once as an integer pair and its weighted term added into an unreduced pair
+(numbers.add_ratio); each evaluation builds one normalised Fraction at its
+end: _bracket from its split and merge pairs, volume when it divides by
+2g - 1 + q, volume_closed when it divides by its prefactor. The sums are
+exact, so this grouping cannot change a value.
 """
 
 from __future__ import annotations
@@ -40,7 +46,14 @@ from .multiindex import (
     splits2,
     splits3,
 )
-from .numbers import IdentityReport, binomial, double_factorial, factorial, moduli_dim
+from .numbers import (
+    IdentityReport,
+    add_ratio,
+    binomial,
+    double_factorial,
+    factorial,
+    moduli_dim,
+)
 
 
 class VolumeEngine:
@@ -71,10 +84,11 @@ class VolumeEngine:
             # single index n - 3: both integrate to 1.
             return self._open_memo.setdefault(key, Fraction(1))
 
-        total = self._bracket(genus, n, kappa)
+        num, den = self._bracket(genus, n, kappa).as_integer_ratio()
         if genus >= 1:
-            total += Fraction(1, 12) * self.volume(genus - 1, n + 3, kappa)
-        result = total / (2 * genus - 1 + kappa.length)
+            vn, vd = self.volume(genus - 1, n + 3, kappa).as_integer_ratio()
+            num, den = add_ratio(num, den, vn, 12 * vd)
+        result = Fraction(num, den * (2 * genus - 1 + kappa.length))
         return self._open_memo.setdefault(key, result)
 
     def _bracket(self, genus: int, n: int, kappa: MultiIndex) -> Fraction:
@@ -83,12 +97,15 @@ class VolumeEngine:
         (L, L' nonempty) minus the merges C(kappa, L) V_{g,n}(L + delta_wt(L'))
         (len L' >= 2). A split term is nonzero only at r = wt(L) + 1 - 3g_i,
         which then puts V_{g-g_i,n+1-r}(L') on its dimension as well."""
-        splits = Fraction(0)
-        merges = Fraction(0)
+        splits_n, splits_d = 0, 1
+        merges_n, merges_d = 0, 1
         for left, right in splits2(kappa):
             cb = multi_binomial(kappa, left)
             if right.length >= 2:
-                merges += cb * self.volume(genus, n, left + delta(right.weight))
+                vn, vd = self.volume(
+                    genus, n, left + delta(right.weight)
+                ).as_integer_ratio()
+                merges_n, merges_d = add_ratio(merges_n, merges_d, cb * vn, vd)
             if not left or not right:
                 continue
             for gi in range(genus + 1):
@@ -97,12 +114,15 @@ class VolumeEngine:
                     break
                 if r >= n:
                     continue
-                first = self.volume(gi, r + 2, left)
-                if first:
-                    splits += (cb * binomial(n - 1, r)) * (
-                        first * self.volume(genus - gi, n + 1 - r, right)
+                fn, fd = self.volume(gi, r + 2, left).as_integer_ratio()
+                if fn:
+                    sn, sd = self.volume(
+                        genus - gi, n + 1 - r, right
+                    ).as_integer_ratio()
+                    splits_n, splits_d = add_ratio(
+                        splits_n, splits_d, cb * binomial(n - 1, r) * fn * sn, fd * sd
                     )
-        return splits / 2 - merges
+        return Fraction(*add_ratio(splits_n, 2 * splits_d, -merges_n, merges_d))
 
     def volume_closed(self, genus: int, kappa: MultiIndex = ZERO) -> Fraction:
         """V_g(kappa(b)) on the unpointed space; needs genus >= 2."""
@@ -118,15 +138,17 @@ class VolumeEngine:
             return found
 
         q = kappa.length
-        total = Fraction(0)
-        sixths = Fraction(0)
+        total_n, total_d = 0, 1
+        sixths_n, sixths_d = 0, 1
         for left, right in splits2(kappa):
             cb = multi_binomial(kappa, left)
-            total += 5 * cb * self.volume(
+            vn, vd = self.volume(
                 genus, 1, left + delta(right.weight + 1)
-            )
-            sixths += cb * self._times_kappa(genus - 1, 3, left, right.weight)
-        total -= sixths / 6
+            ).as_integer_ratio()
+            total_n, total_d = add_ratio(total_n, total_d, 5 * cb * vn, vd)
+            xn, xd = self._times_kappa(genus - 1, 3, left, right.weight)
+            sixths_n, sixths_d = add_ratio(sixths_n, sixths_d, cb * xn, xd)
+        total_n, total_d = add_ratio(total_n, total_d, -sixths_n, 6 * sixths_d)
         for left, mid, rest in splits3(kappa):
             # V_{g_i,1}(kappa(mid) kappa_wt(left)) needs
             # wt(mid) + wt(left) = 3g_i - 2, both when wt(left) = 0 (the
@@ -134,37 +156,45 @@ class VolumeEngine:
             gi, off = divmod(mid.weight + left.weight + 2, 3)
             if off or gi > genus:
                 continue
-            first = self._times_kappa(gi, 1, mid, left.weight)
-            if first:
-                total -= (
-                    multi_multinomial(kappa, left, mid)
-                    * first
-                    * self.volume(genus - gi, 2, rest)
+            fn, fd = self._times_kappa(gi, 1, mid, left.weight)
+            if fn:
+                sn, sd = self.volume(genus - gi, 2, rest).as_integer_ratio()
+                total_n, total_d = add_ratio(
+                    total_n,
+                    total_d,
+                    -multi_multinomial(kappa, left, mid) * fn * sn,
+                    fd * sd,
                 )
         for left, right in splits2(kappa):
             if right.length < 2:
                 continue
             cb = multi_binomial(kappa, left)
             bumped = left + delta(right.weight)
-            total -= (2 * genus - 1 + q) * cb * self.volume_closed(genus, bumped)
-            inner = Fraction(0)
+            vn, vd = self.volume_closed(genus, bumped).as_integer_ratio()
+            total_n, total_d = add_ratio(
+                total_n, total_d, -(2 * genus - 1 + q) * cb * vn, vd
+            )
             for e, f in splits2(bumped):
-                inner += multi_binomial(bumped, e) * self._times_kappa(
-                    genus, 0, e, f.weight
+                xn, xd = self._times_kappa(genus, 0, e, f.weight)
+                total_n, total_d = add_ratio(
+                    total_n, total_d, -cb * multi_binomial(bumped, e) * xn, xd
                 )
-            total -= cb * inner
 
         prefactor = (2 * genus - 1) * (2 * genus - 2) + (4 * genus - 3) * q + q * q
-        result = total / prefactor
+        result = Fraction(total_n, total_d * prefactor)
         return self._closed_memo.setdefault(key, result)
 
-    def _times_kappa(self, genus: int, n: int, m: MultiIndex, a: int) -> Fraction:
-        """V_{g,n}(kappa(m) kappa_a) with the index-zero scalar convention."""
+    def _times_kappa(
+        self, genus: int, n: int, m: MultiIndex, a: int
+    ) -> tuple[int, int]:
+        """V_{g,n}(kappa(m) kappa_a) with the index-zero scalar convention,
+        as an integer pair (numerator, positive denominator)."""
         if genus < 0:
-            return Fraction(0)
+            return 0, 1
         if a == 0:
-            return (2 * genus - 2 + n) * self.volume(genus, n, m)
-        return self.volume(genus, n, m + delta(a))
+            num, den = self.volume(genus, n, m).as_integer_ratio()
+            return (2 * genus - 2 + n) * num, den
+        return self.volume(genus, n, m + delta(a)).as_integer_ratio()
 
 
 def check_expanded_volume(volumes: VolumeEngine, genus: int, n: int, kappa) -> IdentityReport:

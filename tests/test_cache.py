@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import run
 from wprec.cache import (
     CACHE_HEADER,
     check_cache,
@@ -111,3 +112,44 @@ def test_default_cache_path(monkeypatch):
     assert default_cache_path() == "/tmp/somewhere.cache"
     monkeypatch.setenv("WPREC_CACHE", "")
     assert default_cache_path() is None
+
+
+def test_unterminated_final_line_is_dropped_and_cut(capsys, tmp_path):
+    path = tmp_path / "values.cache"
+    # What a crash in the middle of appending "2||3,2<TAB>29/5760" leaves.
+    path.write_text(f"{CACHE_HEADER}\n1||1\t1/24\n2||3,2\t29/57")
+    assert load_cache(path) == {_key("1||1"): Fraction(1, 24)}
+    warning = f"wprec: warning: {path}:3: unterminated final line dropped\n"
+    assert capsys.readouterr().err == warning
+    assert save_new_records(path, {_key("2||4"): Fraction(1, 1152)}) == 1
+    assert capsys.readouterr().err == ""
+    assert path.read_text() == f"{CACHE_HEADER}\n1||1\t1/24\n2||4\t1/1152\n"
+
+
+def test_unterminated_header_is_refused(tmp_path):
+    path = tmp_path / "values.cache"
+    path.write_text(CACHE_HEADER)
+    with pytest.raises(ValueError, match=r"values\.cache:1: expected header"):
+        load_cache(path)
+    with pytest.raises(ValueError, match=r"values\.cache:1: expected header"):
+        save_new_records(path, {_key("1||1"): Fraction(1, 24)})
+    assert path.read_text() == CACHE_HEADER
+
+
+def test_crash_tail_is_recomputed_from_the_cli(capsys, tmp_path):
+    path = tmp_path / "values.cache"
+    path.write_text(f"{CACHE_HEADER}\n2||3,2\t29/57")
+    code, out, err = run(
+        capsys, "compute", "-g", "2", "--psi", "3,2", "--cache", str(path)
+    )
+    assert code == 0 and out == "29/5760\n"
+    assert err == f"wprec: warning: {path}:2: unterminated final line dropped\n"
+    # The save cut the tail off before appending, so the file now loads
+    # cleanly and later commands neither warn nor fail.
+    code, out, err = run(
+        capsys, "compute", "-g", "1", "--psi", "2,0", "--cache", str(path)
+    )
+    assert (code, out, err) == (0, "1/24\n", "")
+    assert load_cache(path)[_key("2||3,2")] == Fraction(29, 5760)
+    code, out, err = run(capsys, "verify", "--suite", "cache", "--cache", str(path))
+    assert code == 0 and out.startswith("PASS") and err == ""
