@@ -72,7 +72,13 @@ def _read_records(
     line (None when the file ends in a newline)."""
     raw = Path(path).read_bytes()
     complete = raw.rfind(b"\n") + 1
-    lines = raw[:complete].decode("ascii").splitlines()
+    try:
+        lines = raw[:complete].decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{path}:{line}: cannot decode byte 0x{raw[exc.start]:02x} as ascii"
+        ) from None
     partial = len(lines) + 1 if complete < len(raw) else None
     if not lines or lines[0] != CACHE_HEADER:
         raise ValueError(f"{path}:1: expected header {CACHE_HEADER!r}")

@@ -15,10 +15,11 @@ the tests hold those closed forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Callable
 
 from .multiindex import ZERO, MultiIndex, indices_of_weight, splits2
-from .numbers import double_factorial, factorial
+from .numbers import double_factorial
 
 
 class ConstantTable:
@@ -54,21 +55,6 @@ class ConstantTable:
 ALPHA = ConstantTable("alpha", lambda w: double_factorial(2 * w + 1))
 GAMMA_ODD = ConstantTable("gamma_odd", lambda w: double_factorial(2 * w - 1))
 GAMMA_FACT = ConstantTable("gamma_fact", factorial)
-
-
-def alpha(b: MultiIndex) -> Fraction:
-    """Pivot-recursion coefficient; alpha(delta_l) = 1/(2l+1)!!."""
-    return ALPHA.value(b)
-
-
-def gamma_odd(b: MultiIndex) -> Fraction:
-    """Direct-pairing coefficient, odd flavour; rows give secant numbers."""
-    return GAMMA_ODD.value(b)
-
-
-def gamma_fact(b: MultiIndex) -> Fraction:
-    """Direct-pairing coefficient, factorial flavour."""
-    return GAMMA_FACT.value(b)
 
 
 def shift_polynomial(k: int, max_weight: int) -> dict[MultiIndex, Fraction]:

@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from math import factorial
 from typing import Iterator
 
 from .constants import GAMMA_FACT, GAMMA_ODD
 from .kmz import kappa_partition_terms
 from .multiindex import ZERO, MultiIndex, delta, multi_binomial, splits2
-from .numbers import IdentityReport, bernoulli, double_factorial, factorial
+from .numbers import IdentityReport, bernoulli, double_factorial
 
 LAMBDA_G = "lambda_g"
 LAMBDA_G_GM1 = "lambda_g_lambda_gm1"
@@ -105,9 +106,16 @@ class FileBaseValues(BaseValueProvider):
 
     def __init__(self, path: str):
         self._values: dict[tuple[int, str], Fraction] = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            content = handle.read()
-        self.fingerprint = "file:" + hashlib.sha256(content.encode()).hexdigest()[:16]
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            content = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(
+                f"{path}:{line_no}: cannot decode byte 0x{data[exc.start]:02x} as utf-8"
+            ) from None
+        self.fingerprint = "file:" + hashlib.sha256(data).hexdigest()[:16]
         for line_no, raw in enumerate(content.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

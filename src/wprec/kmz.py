@@ -25,14 +25,13 @@ import math
 from fractions import Fraction
 
 from .multiindex import (
-    ZERO,
     MultiIndex,
     multi_multinomial,
     multiset_partitions,
     multiset_splits,
     ordered_nonempty_partitions,
 )
-from .numbers import double_factorial, factorial, moduli_dim
+from .numbers import double_factorial, moduli_dim
 
 _partition_terms_cache: dict[MultiIndex, tuple[tuple[Fraction, tuple[int, ...]], ...]] = {}
 
@@ -57,7 +56,7 @@ def kappa_partition_terms(
     collected: list[tuple[Fraction, tuple[int, ...]]] = []
     for k in range(1, q + 1):
         sign = -1 if (q - k) % 2 else 1
-        base = Fraction(sign, factorial(k))
+        base = Fraction(sign, math.factorial(k))
         for parts in ordered_nonempty_partitions(kappa, k):
             ways = multi_multinomial(kappa, *parts[:-1])
             exps = tuple(sorted((p.weight + 1 for p in parts), reverse=True))
@@ -238,7 +237,7 @@ class KmzOracle:
             denom = 1
             flat: list[MultiIndex] = []
             for part, count in shape:
-                denom *= factorial(count)
+                denom *= math.factorial(count)
                 flat.extend([part] * count)
             ways = multi_multinomial(kappa, *flat[:-1])
             new = tuple(p.weight + 1 for p in flat)

@@ -12,9 +12,8 @@ The text form is ``i:m`` pairs joined by commas in ascending index order
 from __future__ import annotations
 
 import itertools
+from math import comb, factorial
 from typing import Iterable, Iterator
-
-from .numbers import binomial, factorial
 
 
 class MultiIndex:
@@ -127,17 +126,6 @@ class MultiIndex:
     def contains(self, other: "MultiIndex") -> bool:
         return all(self[i] >= m for i, m in other._entries)
 
-    def scaled(self, c: int) -> "MultiIndex":
-        if c < 0:
-            raise ValueError(f"negative scale {c}")
-        if c == 0 or not self._entries:
-            return ZERO
-        return MultiIndex._raw(
-            tuple((i, c * m) for i, m in self._entries),
-            c * self._weight,
-            c * self._length,
-        )
-
     def factorial(self) -> int:
         """Product of m(i)! over the support."""
         out = 1
@@ -183,7 +171,7 @@ def multi_binomial(b: MultiIndex, sub: MultiIndex) -> int:
         have = counts.get(i, 0)
         if have < m:
             raise ValueError(f"{sub} is not contained in {b}")
-        out *= binomial(have, m)
+        out *= comb(have, m)
     return out
 
 
@@ -307,7 +295,7 @@ def multiset_splits(values: tuple) -> Iterator[tuple[tuple, tuple, int]]:
         for (v, c), t in zip(groups, takes):
             picked.extend([v] * t)
             left.extend([v] * (c - t))
-            count *= binomial(c, t)
+            count *= comb(c, t)
         yield tuple(picked), tuple(left), count
 
 

@@ -69,21 +69,6 @@ def add_ratio(num: int, den: int, xn: int, xd: int) -> tuple[int, int]:
     return num * step + xn * (den // g), den * step
 
 
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"factorial undefined for {n}")
-    return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError(f"binomial undefined for n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 
 

@@ -20,13 +20,14 @@ accumulates factors), then truncates down for the comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Iterator, NamedTuple
 
 from .constants import shift_polynomial
 from .correlator import CorrelatorEngine
 from .kmz import KmzOracle
-from .multiindex import MultiIndex, indices_of_weight
-from .numbers import factorial, moduli_dim
+from .multiindex import indices_of_weight
+from .numbers import moduli_dim
 
 MonomialKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -88,29 +89,6 @@ class TruncatedSeries:
         ):
             raise ValueError("series live in different truncated algebras")
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        merged = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            total = merged.get(key, Fraction(0)) + value
-            if total:
-                merged[key] = total
-            else:
-                merged.pop(key, None)
-        return self._like(merged)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return self._like({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def scaled(self, value) -> "TruncatedSeries":
-        factor = Fraction(value)
-        if not factor:
-            return self._like({})
-        return self._like({k: factor * v for k, v in self.coeffs.items()})
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
         out: dict[MonomialKey, Fraction] = {}
@@ -155,13 +133,6 @@ class TruncatedSeries:
             {k: v for k, v in self.coeffs.items() if self._weight(*k) <= cutoff},
         )
 
-    def coefficient(self, s_exps, t_exps) -> Fraction:
-        se = tuple(s_exps)
-        te = tuple(t_exps)
-        if len(te) < self.t_vars + 1:
-            te = te + (0,) * (self.t_vars + 1 - len(te))
-        return self.coeffs.get((se, te), Fraction(0))
-
     def substitute_t(
         self, subs: dict[int, "TruncatedSeries"]
     ) -> "TruncatedSeries":
@@ -201,16 +172,6 @@ class TruncatedSeries:
                 else:
                     total.pop(key, None)
         return self._like(total)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.cutoff == other.cutoff
-            and self.s_vars == other.s_vars
-            and self.t_vars == other.t_vars
-            and self.coeffs == other.coeffs
-        )
 
     def first_mismatch(
         self, other: "TruncatedSeries"
@@ -346,7 +307,6 @@ def shift_check(
     t_vars: int,
     engine: CorrelatorEngine,
     oracle: KmzOracle,
-    shifts: dict[int, TruncatedSeries] | None = None,
 ) -> ShiftReport:
     """Mixed series versus shift-substituted pure series, coefficientwise.
 
@@ -364,8 +324,7 @@ def shift_check(
         )
     mixed = build_mixed_series(cutoff, s_vars, t_vars, engine)
     source = build_psi_series(2 * cutoff, s_vars, t_vars, oracle)
-    if shifts is None:
-        shifts = canonical_shifts(2 * cutoff, s_vars, t_vars)
+    shifts = canonical_shifts(2 * cutoff, s_vars, t_vars)
     substituted = source.substitute_t(shifts).truncated(cutoff)
     keys = sorted(set(mixed.coeffs) | set(substituted.coeffs))
     mismatch = mixed.first_mismatch(substituted)

@@ -36,6 +36,7 @@ exact, so this grouping cannot change a value.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 
 from .multiindex import (
     ZERO,
@@ -46,14 +47,7 @@ from .multiindex import (
     splits2,
     splits3,
 )
-from .numbers import (
-    IdentityReport,
-    add_ratio,
-    binomial,
-    double_factorial,
-    factorial,
-    moduli_dim,
-)
+from .numbers import IdentityReport, add_ratio, double_factorial, moduli_dim
 
 
 class VolumeEngine:
@@ -120,7 +114,7 @@ class VolumeEngine:
                         genus - gi, n + 1 - r, right
                     ).as_integer_ratio()
                     splits_n, splits_d = add_ratio(
-                        splits_n, splits_d, cb * binomial(n - 1, r) * fn * sn, fd * sd
+                        splits_n, splits_d, cb * comb(n - 1, r) * fn * sn, fd * sd
                     )
         return Fraction(*add_ratio(splits_n, 2 * splits_d, -merges_n, merges_d))
 

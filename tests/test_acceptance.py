@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from wprec.constants import ConstantTable, alpha, gamma_fact, gamma_odd
+from wprec.constants import ALPHA, GAMMA_FACT, GAMMA_ODD, ConstantTable
 from wprec.correlator import (
     INITIAL_VALUES,
     CorrelatorEngine,
@@ -75,7 +75,7 @@ def test_criterion_01_constant_tables():
     started = time.perf_counter()
     cases = 0
     for l in range(1, 16):
-        assert alpha(delta(l)) == Fraction(1, double_factorial(2 * l + 1))
+        assert ALPHA.value(delta(l)) == Fraction(1, double_factorial(2 * l + 1))
         sign = 1 if l % 2 else -1
         closed = (
             sign
@@ -83,7 +83,7 @@ def test_criterion_01_constant_tables():
             * bernoulli(2 * l)
             / double_factorial(2 * l - 1)
         )
-        assert alpha(MultiIndex({1: l})) == closed, l
+        assert ALPHA.value(MultiIndex({1: l})) == closed, l
         cases += 2
     _report(1, "alpha closed forms to weight 15", cases, started)
 
@@ -93,7 +93,7 @@ def test_criterion_02_gamma_euler():
     expected = [1, 1, 5, 61, 1385, 50521]
     for l, value in enumerate(expected):
         b = MultiIndex({1: l}) if l else ZERO
-        assert gamma_odd(b) * double_factorial(2 * l - 1) == value
+        assert GAMMA_ODD.value(b) * double_factorial(2 * l - 1) == value
         assert value == euler_number(l)
     _report(2, "gamma against secant numbers", len(expected), started)
 
@@ -110,7 +110,7 @@ def test_criterion_03_gamma_bessel():
     ]
     for k, value in enumerate(expected):
         b = MultiIndex({1: k}) if k else ZERO
-        assert gamma_fact(b) == value
+        assert GAMMA_FACT.value(b) == value
     _report(3, "gamma factorial row", len(expected), started)
 
 

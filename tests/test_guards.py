@@ -1,7 +1,9 @@
-"""Inputs that must fail cleanly: poisoned cache seeds, verify options a
-suite does not read, malformed Hodge provider lines, signatures deeper
-than the recursion limit, and negative exponents in the unordered
-descendant expansion."""
+"""Inputs that must fail cleanly: poisoned cache seeds, undecodable cache
+and provider bytes, verify options a suite does not read, malformed Hodge
+provider lines, signatures deeper than the recursion limit, and negative
+exponents in the unordered descendant expansion."""
+
+import sys
 
 import pytest
 
@@ -63,7 +65,9 @@ def test_verify_refuses_options_the_suite_does_not_read(
     )
 
 
-@pytest.mark.parametrize("line", ["1,lambda_g,1/0", "x,lambda_g,1", "1,lambda_g,x"])
+@pytest.mark.parametrize(
+    "line", [b"1,lambda_g,1/0", b"x,lambda_g,1", b"1,lambda_g,x", b"1,lambda_g,1/\xff"]
+)
 @pytest.mark.parametrize(
     "command",
     [
@@ -73,15 +77,34 @@ def test_verify_refuses_options_the_suite_does_not_read(
 )
 def test_bad_provider_line_names_its_position(capsys, tmp_path, line, command):
     path = tmp_path / "base.txt"
-    path.write_text(f"# seeds\n{line}\n")
+    path.write_bytes(b"# seeds\n" + line + b"\n")
     code, out, err = run(capsys, *command, "--provider", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"wprec: {path}:2: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("compute", "-g", "1", "--psi", "1"), ("verify", "--suite", "cache")],
+)
+def test_non_ascii_cache_byte_names_its_line(capsys, tmp_path, command):
+    path = tmp_path / "values.cache"
+    path.write_bytes(b"wprec-cache v1\n1||1\t1/24\n2||3,2\t29/5760\xc3\xa9\n")
+    code, out, err = run(capsys, *command, "--cache", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"wprec: {path}:3: ") and err.count("\n") == 1
+
+
 def test_too_deep_signature_fails_cleanly(capsys):
-    psi = ",".join(["1000"] + ["0"] * 1002)
-    code, out, err = run(capsys, "compute", "-g", "0", "--psi", psi)
+    # A lowered limit reaches the clean failure after a few hundred
+    # evaluations instead of the thousand the default limit needs.
+    psi = ",".join(["300"] + ["0"] * 302)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    try:
+        code, out, err = run(capsys, "compute", "-g", "0", "--psi", psi)
+    finally:
+        sys.setrecursionlimit(limit)
     assert code == 1 and out == ""
     assert err.startswith("wprec: ") and err.count("\n") == 1
 

@@ -1,5 +1,6 @@
 """Route modules stay independent: each imports only the package modules
-listed here, so no route reuses another route's code."""
+listed here, so no route reuses another route's code. And every module uses
+every name it imports at top level, so a deletion leaves no stale import."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,23 @@ def internal_imports(module: str) -> set[str]:
 def test_route_imports_stay_inside_allowed_set(module):
     assert internal_imports(module) <= ALLOWED[module]
 
+
+
+def unused_imports(module: str) -> set[str]:
+    """Names bound by top-level imports of src/wprec/<module>.py that no
+    ast.Name in the module reads; annotations are parsed, so they count."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound.add(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - used
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_every_top_level_import_is_used(module):
+    assert unused_imports(module) == set()

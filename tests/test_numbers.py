@@ -5,14 +5,7 @@ from math import comb, prod
 
 import pytest
 
-from wprec.numbers import (
-    bernoulli,
-    binomial,
-    double_factorial,
-    euler_number,
-    factorial,
-    moduli_dim,
-)
+from wprec.numbers import bernoulli, double_factorial, euler_number, moduli_dim
 
 
 def test_double_factorial_frozen():
@@ -36,20 +29,6 @@ def test_double_factorial_rejects_below_minus_one():
         double_factorial(-2)
     with pytest.raises(ValueError):
         double_factorial(-7)
-
-
-def test_factorial_and_binomial():
-    assert factorial(0) == 1
-    assert factorial(6) == 720
-    assert binomial(5, 2) == 10
-    assert binomial(5, 0) == 1
-    # Out-of-range k is zero, not an error; negative n is an error.
-    assert binomial(3, 7) == 0
-    assert binomial(3, -1) == 0
-    with pytest.raises(ValueError):
-        factorial(-1)
-    with pytest.raises(ValueError):
-        binomial(-2, 0)
 
 
 def test_bernoulli_frozen():

@@ -4,6 +4,7 @@ whose point count r is solved from the dimension rather than scanned."""
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,7 +15,6 @@ from wprec.multiindex import (
     multi_binomial,
     splits2,
 )
-from wprec.numbers import binomial
 from wprec.sweeps import volume_signatures
 from wprec.volumes import VolumeEngine
 
@@ -45,7 +45,7 @@ def reference_bracket(volumes, genus, n, kappa):
                 total += (
                     Fraction(1, 2)
                     * cb
-                    * binomial(n - 1, r)
+                    * comb(n - 1, r)
                     * volumes.volume(gi, r + 2, left)
                     * volumes.volume(genus - gi, n + 1 - r, right)
                 )
