@@ -15,7 +15,8 @@ the built-in seeds (``INITIAL_VALUES``): a wrong seed record makes the next
 save that reaches that seed fail.  A record for an unstable or
 off-dimension signature, which the engine never writes, is a load error,
 so the engine's memo only ever holds signatures its dimension gate
-admits.  ``check_cache`` recomputes every record with a fresh engine.
+admits.  ``wprec verify --suite cache`` recomputes every record with a
+fresh engine.
 
 Every line, the header included, ends in a newline.  A final line without
 one is what a crash in the middle of an append leaves behind, so it is not
@@ -147,22 +148,3 @@ def seed_engine(
         (key, value) for key, value in records.items() if key not in INITIAL_VALUES
     )
 
-
-def check_cache(
-    path: str | os.PathLike[str],
-) -> tuple[bool, int, str | None]:
-    """Recompute every cached record with a fresh engine.
-
-    Returns (all_match, cases, first_mismatch_description), where cases is
-    the record count, or on a mismatch its 1-based position in key order.
-    """
-    records = load_cache(path)
-    fresh = CorrelatorEngine()
-    for position, key in enumerate(sorted(records), start=1):
-        recomputed = fresh.correlator(key.genus, key.kappa, key.psi)
-        if recomputed != records[key]:
-            detail = (
-                f"{key.text()}: cached {records[key]} != recomputed {recomputed}"
-            )
-            return False, position, detail
-    return True, len(records), None

@@ -21,13 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cache import (
-    check_cache,
-    default_cache_path,
-    load_cache,
-    save_new_records,
-    seed_engine,
-)
+from .cache import default_cache_path, load_cache, save_new_records, seed_engine
 from .constants import ALPHA, GAMMA_FACT, GAMMA_ODD
 from .correlator import (
     INITIAL_VALUES,
@@ -198,7 +192,17 @@ def _cmd_hodge(args: argparse.Namespace) -> int:
     return 0
 
 
+# The table sizes each table reads, with their values when not given.
+_TABLE_SIZES = {
+    "constants": {"max_weight": 6},
+    "volumes": {"max_genus": 2, "max_n": 4},
+}
+_TABLE_OPTIONS = dict.fromkeys(d for reads in _TABLE_SIZES.values() for d in reads)
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
+    kind = "constants" if args.constants else "volumes"
+    _read_options(args, f"the {kind} table", _TABLE_SIZES[kind], _TABLE_OPTIONS)
     if args.constants:
         table = {
             "alpha": ALPHA,
@@ -363,11 +367,20 @@ def _run_shift(args: argparse.Namespace):
     )
 
 
-def _run_cache(args: argparse.Namespace):
+def _cache_cases(args: argparse.Namespace):
+    """Every cached record, in key order, against a fresh engine."""
     path = args.cache or default_cache_path()
     if not path:
         raise ValueError("cache suite needs --cache PATH or WPREC_CACHE")
-    return check_cache(path)
+    records = load_cache(path)
+    engine = CorrelatorEngine()
+    for key in sorted(records):
+        yield (
+            key.text(),
+            records[key],
+            engine.correlator(key.genus, key.kappa, key.psi),
+            ("cached ", "recomputed "),
+        )
 
 
 # name: (defaults, runner(args) -> (ok, cases, detail)). The defaults map
@@ -383,7 +396,7 @@ SUITES = {
     "volume": ({"max_dim": 7}, _sweep(_volume_cases)),
     "shift": ({"cutoff": 6, "s_vars": 3, "t_vars": None}, _run_shift),
     "hodge": ({"max_genus": 3, "provider": None}, _sweep(_hodge_cases)),
-    "cache": ({"cache": None}, _run_cache),
+    "cache": ({"cache": None}, _sweep(_cache_cases)),
 }
 # Every verify size or path option, in a fixed order for messages.
 _VERIFY_OPTIONS = dict.fromkeys(dest for reads, _ in SUITES.values() for dest in reads)
@@ -391,6 +404,23 @@ _VERIFY_OPTIONS = dict.fromkeys(dest for reads, _ in SUITES.values() for dest in
 
 def _flags(dests) -> str:
     return ", ".join("--" + dest.replace("_", "-") for dest in dests)
+
+
+def _read_options(args: argparse.Namespace, reader: str, defaults, options) -> None:
+    """Give each option in defaults its default when not given; refuse any
+    other of options that was given, so no size is silently ignored."""
+    refused = [
+        dest
+        for dest in options
+        if dest not in defaults and getattr(args, dest) is not None
+    ]
+    if refused:
+        raise ValueError(
+            f"{reader} does not read {_flags(refused)}; it reads {_flags(defaults)}"
+        )
+    for dest, value in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -403,19 +433,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if len(names) != 1:
         raise ValueError("choose exactly one suite (--suite NAME)")
     defaults, run = SUITES[names[0]]
-    refused = [
-        dest
-        for dest in _VERIFY_OPTIONS
-        if dest not in defaults and getattr(args, dest) is not None
-    ]
-    if refused:
-        raise ValueError(
-            f"the {names[0]} suite does not read {_flags(refused)};"
-            f" it reads {_flags(defaults)}"
-        )
-    for dest, value in defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+    _read_options(args, f"the {names[0]} suite", defaults, _VERIFY_OPTIONS)
     ok, cases, detail = run(args)
     if ok:
         print(f"PASS ({cases} cases)")
@@ -497,9 +515,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--constants", choices=("alpha", "gamma_odd", "gamma_fact")
     )
     which.add_argument("--volumes", action="store_true")
-    table.add_argument("--max-weight", type=_size, default=6)
-    table.add_argument("--max-genus", type=_size, default=2)
-    table.add_argument("--max-n", type=_size, default=4)
+    table.add_argument("--max-weight", type=_size)
+    table.add_argument("--max-genus", type=_size)
+    table.add_argument("--max-n", type=_size)
     form = table.add_mutually_exclusive_group()
     form.add_argument("--csv", action="store_true", help="the default")
     form.add_argument("--json", action="store_true")

@@ -59,8 +59,6 @@ class CorrelatorKey(NamedTuple):
     def make(cls, genus: int, kappa: MultiIndex = ZERO, psi=()) -> "CorrelatorKey":
         if genus < 0:
             raise ValueError(f"negative genus {genus}")
-        if not isinstance(kappa, MultiIndex):
-            kappa = MultiIndex(kappa)
         exps = tuple(sorted(psi, reverse=True))
         if exps and exps[-1] < 0:
             raise ValueError(f"negative psi exponent in {exps}")

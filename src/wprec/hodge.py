@@ -35,7 +35,6 @@ step of both routes is the one generator _lowered.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from math import factorial
 from typing import Iterator
@@ -67,16 +66,12 @@ def pairing_degree(tag: str, genus: int, n: int) -> int:
 class BaseValueProvider:
     """One-point seed values; subclasses fill in base_value."""
 
-    fingerprint = "abstract"
-
     def base_value(self, genus: int, tag: str) -> Fraction:
         raise NotImplementedError
 
 
 class DefaultBaseValues(BaseValueProvider):
     """Faber-Pandharipande closed forms, any genus >= 1."""
-
-    fingerprint = "builtin:v1"
 
     def base_value(self, genus: int, tag: str) -> Fraction:
         if genus < 1:
@@ -115,7 +110,6 @@ class FileBaseValues(BaseValueProvider):
             raise ValueError(
                 f"{path}:{line_no}: cannot decode byte 0x{data[exc.start]:02x} as utf-8"
             ) from None
-        self.fingerprint = "file:" + hashlib.sha256(data).hexdigest()[:16]
         for line_no, raw in enumerate(content.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -145,17 +139,13 @@ class FileBaseValues(BaseValueProvider):
 
 
 class HodgeEngine:
-    """Both evaluation routes over one seed provider."""
+    """Both evaluation routes over one seed provider, fixed at construction."""
 
     def __init__(self, provider: BaseValueProvider | None = None):
-        self.provider = provider or DefaultBaseValues()
-        # Keys carry the provider fingerprint so swapping self.provider
-        # cannot serve values seeded by a different base table.
-        self._pure_memo: dict[
-            tuple[str, str, int, tuple[int, ...]], Fraction
-        ] = {}
+        self._provider = provider or DefaultBaseValues()
+        self._pure_memo: dict[tuple[str, int, tuple[int, ...]], Fraction] = {}
         self._direct_memo: dict[
-            tuple[str, str, int, MultiIndex, tuple[int, ...]], Fraction
+            tuple[str, int, MultiIndex, tuple[int, ...]], Fraction
         ] = {}
 
     def pure_pairing(self, genus: int, tag: str, psi) -> Fraction:
@@ -186,8 +176,6 @@ class HodgeEngine:
             raise ValueError(f"pairings need genus >= 1, got {genus}")
         if tag not in _TAGS:
             raise ValueError(f"unknown pairing tag {tag!r}")
-        if not isinstance(kappa, MultiIndex):
-            kappa = MultiIndex(kappa)
         exps = tuple(sorted(psi, reverse=True))
         if exps and exps[-1] < 0:
             raise ValueError(f"negative psi exponent in {exps}")
@@ -203,7 +191,7 @@ class HodgeEngine:
         n = len(exps)
         if sum(exps) != pairing_degree(tag, genus, n):
             return Fraction(0)
-        key = (self.provider.fingerprint, tag, genus, exps)
+        key = (tag, genus, exps)
         found = self._pure_memo.get(key)
         if found is not None:
             return found
@@ -211,7 +199,7 @@ class HodgeEngine:
         if n == 0:
             result = self._pure(genus, tag, (1,)) / (2 * genus - 2)
         elif n == 1:
-            result = self.provider.base_value(genus, tag)
+            result = self._provider.base_value(genus, tag)
         elif exps[-1] == 0:
             result = Fraction(0)
             for lowered in _lowered(exps[:-1]):
@@ -229,7 +217,7 @@ class HodgeEngine:
             return Fraction(0)
         if not kappa:
             return self._pure(genus, tag, exps)
-        key = (self.provider.fingerprint, tag, genus, kappa, exps)
+        key = (tag, genus, kappa, exps)
         found = self._direct_memo.get(key)
         if found is not None:
             return found

@@ -300,15 +300,14 @@ def multiset_splits(values: tuple) -> Iterator[tuple[tuple, tuple, int]]:
 
 
 def indices_of_weight(
-    w: int, max_index: int | None = None, max_length: int | None = None
+    w: int, max_length: int | None = None
 ) -> Iterator[MultiIndex]:
-    """All multi-indices of weight w, optionally bounded in index and length.
+    """All multi-indices of weight w, optionally bounded in length.
 
     Weight 0 yields only the zero index.
     """
     if w < 0:
         return
-    top = w if max_index is None else min(w, max_index)
 
     def build(
         remaining: int, largest: int, room: int | None
@@ -327,7 +326,7 @@ def indices_of_weight(
                 for tail in build(remaining - i * m, i - 1, next_room):
                     yield ((i, m),) + tail
 
-    for entries in build(w, top, max_length):
+    for entries in build(w, w, max_length):
         yield MultiIndex._raw(
             tuple(sorted(entries)), w, sum(m for _, m in entries)
         )

@@ -15,19 +15,22 @@ to weight 2W exactly (the worst case replaces every factor of t_2^W), so
 the check builds the pure series at doubled cutoff, substitutes there
 (where no truncation can bite: term weights only grow as a product
 accumulates factors), then truncates down for the comparison.
+
+Both series walk the stable signatures of ``sweeps``, the enumeration the
+verify suites use, keeping those whose variables the algebra has.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .constants import shift_polynomial
 from .correlator import CorrelatorEngine
 from .kmz import KmzOracle
-from .multiindex import indices_of_weight
-from .numbers import moduli_dim
+from .multiindex import ZERO, MultiIndex
+from .sweeps import correlator_signatures, psi_lists, stable_windows
 
 MonomialKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -191,43 +194,18 @@ class TruncatedSeries:
         )
 
 
-def _descendant_patterns(
-    budget: int, t_vars: int, extra_weight: int = 0
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(genus, t exponent tuple) for stable in-dimension patterns.
-
-    Enumerates counts of t_1..t_T with weighted sum <= budget, then every
-    count of t_0 keeping the genus integral and nonnegative; genus solves
-    3g = extra_weight + weight + 3 - points, extra_weight being degree
-    carried by classes outside the descendant variables.
-    """
-
-    def positive_parts(k: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if k > t_vars:
-            yield ()
-            return
-        for count in range(remaining // k + 1):
-            for tail in positive_parts(k + 1, remaining - k * count):
-                yield (count,) + tail
-
-    for parts in positive_parts(1, budget):
-        w = sum(k * e for k, e in enumerate(parts, start=1))
-        n_pos = sum(parts)
-        for n0 in range(0, extra_weight + w + 3 - n_pos + 1):
-            n = n0 + n_pos
-            leftover = extra_weight + w + 3 - n
-            if leftover % 3:
-                continue
-            genus = leftover // 3
-            if extra_weight + w == moduli_dim(genus, n):
-                yield genus, (n0,) + parts
-
-
-def _pattern_exponents(te: tuple[int, ...]) -> tuple[int, ...]:
-    exps: list[int] = []
-    for k, count in enumerate(te):
-        exps.extend([k] * count)
-    return tuple(exps)
+def _monomial(
+    kappa: MultiIndex, psi: tuple[int, ...], s_vars: int, t_vars: int
+) -> tuple[MonomialKey, int]:
+    """The (se, te) exponent key of kappa and psi, and its factorial
+    denominator: the product of the factorials of the exponents."""
+    te = [0] * (t_vars + 1)
+    for k in psi:
+        te[k] += 1
+    denom = kappa.factorial()
+    for count in te:
+        denom *= factorial(count)
+    return (tuple(kappa[i] for i in range(1, s_vars + 1)), tuple(te)), denom
 
 
 def build_psi_series(
@@ -235,15 +213,11 @@ def build_psi_series(
 ) -> TruncatedSeries:
     """Pure-descendant generating series up to the weight cutoff."""
     coeffs: dict[MonomialKey, Fraction] = {}
-    zero_s = (0,) * s_vars
-    for genus, te in _descendant_patterns(cutoff, t_vars):
-        value = oracle.pure_psi(genus, _pattern_exponents(te))
-        if not value:
-            continue
-        denom = 1
-        for count in te:
-            denom *= factorial(count)
-        coeffs[(zero_s, te)] = value / denom
+    for genus, n, dim in stable_windows(cutoff, 1):
+        for psi in psi_lists(dim, n):
+            if psi[0] <= t_vars:
+                key, denom = _monomial(ZERO, psi, s_vars, t_vars)
+                coeffs[key] = oracle.pure_psi(genus, psi) / denom
     return TruncatedSeries(cutoff, s_vars, t_vars, coeffs)
 
 
@@ -252,18 +226,11 @@ def build_mixed_series(
 ) -> TruncatedSeries:
     """Mixed kappa/descendant generating series up to the weight cutoff."""
     coeffs: dict[MonomialKey, Fraction] = {}
-    for w in range(cutoff + 1):
-        for kappa in indices_of_weight(w, max_index=s_vars):
-            se = tuple(kappa[i] for i in range(1, s_vars + 1))
-            k_denom = kappa.factorial()
-            for genus, te in _descendant_patterns(cutoff - w, t_vars, extra_weight=w):
-                value = engine.correlator(genus, kappa, _pattern_exponents(te))
-                if not value:
-                    continue
-                denom = k_denom
-                for count in te:
-                    denom *= factorial(count)
-                coeffs[(se, te)] = value / denom
+    for genus, kappa, psi in correlator_signatures(cutoff, min_n=0):
+        if (kappa and kappa.entries[-1][0] > s_vars) or (psi and psi[0] > t_vars):
+            continue
+        key, denom = _monomial(kappa, psi, s_vars, t_vars)
+        coeffs[key] = engine.correlator(genus, kappa, psi) / denom
     return TruncatedSeries(cutoff, s_vars, t_vars, coeffs)
 
 

@@ -42,7 +42,8 @@ def psi_lists(total: int, n: int) -> Iterator[tuple[int, ...]]:
             yield shape + (0,) * (n - len(shape))
 
 
-def _stable_windows(max_dim: int, min_n: int) -> Iterator[tuple[int, int, int]]:
+def stable_windows(max_dim: int, min_n: int) -> Iterator[tuple[int, int, int]]:
+    """Stable (genus, n >= min_n, dimension) with dimension at most max_dim."""
     for genus in range((max_dim + 3) // 3 + 1):
         for n in range(min_n, max_dim - 3 * genus + 4):
             dim = moduli_dim(genus, n)
@@ -69,7 +70,7 @@ def correlator_signatures(
     Degrees sum to dimension + shell; shell 0 walks the in-dimension
     signatures, shell 1 the shell on which point-adding identities bite.
     """
-    for genus, n, dim in _stable_windows(max_dim, min_n):
+    for genus, n, dim in stable_windows(max_dim, min_n):
         for kappa, psi in _fillings(dim + shell, n):
             yield genus, kappa, psi
 
@@ -78,7 +79,7 @@ def volume_signatures(
     max_dim: int,
 ) -> Iterator[tuple[int, int, MultiIndex]]:
     """Stable (genus, n >= 1, kappa) with kappa filling the dimension."""
-    for genus, n, dim in _stable_windows(max_dim, 1):
+    for genus, n, dim in stable_windows(max_dim, 1):
         for kappa in indices_of_weight(dim):
             yield genus, n, kappa
 
@@ -93,14 +94,15 @@ def closed_volume_indices(
 
 
 def hodge_signatures(
-    max_genus: int = 3, max_length: int = 2, max_n: int = 3
+    max_genus: int = 3,
 ) -> Iterator[tuple[int, str, MultiIndex, tuple[int, ...]]]:
-    """In-dimension (genus, tag, kappa, psi) for both pairing tags."""
+    """In-dimension (genus, tag, kappa, psi) for both pairing tags, with at
+    most 3 points and 2 kappa factors."""
     for genus in range(1, max_genus + 1):
         for tag in (LAMBDA_G_GM1, LAMBDA_G):
-            for n in range(max_n + 1):
+            for n in range(4):
                 degree = pairing_degree(tag, genus, n)
-                for kappa, psi in _fillings(degree, n, max_length):
+                for kappa, psi in _fillings(degree, n, max_length=2):
                     yield genus, tag, kappa, psi
 
 
@@ -109,7 +111,7 @@ def _extension_windows(max_dim: int) -> Iterator[tuple[int, int, int]]:
 
     shell = dim - 1 is the degree left once the added tau_1 is placed.
     """
-    for genus, n, dim in _stable_windows(max_dim, 2):
+    for genus, n, dim in stable_windows(max_dim, 2):
         yield genus, n - 2, dim - 1
 
 
@@ -135,15 +137,15 @@ def rshift_cases(
 
 
 def pairing_reduction_cases(
-    max_genus: int = 3, max_extra: int = 2
+    max_genus: int = 3,
 ) -> Iterator[tuple[int, str, int, int, tuple[int, ...]]]:
     """(genus, tag, d, d0, rest) hitting the two-insertion rule in-dimension.
 
-    rest entries are all positive, as the rule requires.
+    rest holds at most 2 entries, all positive, as the rule requires.
     """
     for genus in range(1, max_genus + 1):
         for tag in (LAMBDA_G_GM1, LAMBDA_G):
-            for extra in range(max_extra + 1):
+            for extra in range(3):
                 n = extra + 2
                 degree = pairing_degree(tag, genus, n)
                 if degree < 0:

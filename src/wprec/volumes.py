@@ -63,8 +63,6 @@ class VolumeEngine:
             raise ValueError(f"negative genus {genus}")
         if n < 0:
             raise ValueError(f"negative point count {n}")
-        if not isinstance(kappa, MultiIndex):
-            kappa = MultiIndex(kappa)
         if kappa.weight != moduli_dim(genus, n):
             return Fraction(0)
         if n == 0:
@@ -122,8 +120,6 @@ class VolumeEngine:
         """V_g(kappa(b)) on the unpointed space; needs genus >= 2."""
         if genus < 2:
             raise ValueError(f"closed volumes need genus >= 2, got {genus}")
-        if not isinstance(kappa, MultiIndex):
-            kappa = MultiIndex(kappa)
         if kappa.weight != moduli_dim(genus, 0):
             return Fraction(0)
         key = (genus, kappa)
@@ -202,8 +198,6 @@ def check_expanded_volume(volumes: VolumeEngine, genus: int, n: int, kappa) -> I
     q <= 1 the shape (2h - 3 + q) can drop below -1, but every such bracket
     is an empty sum).
     """
-    if not isinstance(kappa, MultiIndex):
-        kappa = MultiIndex(kappa)
     if n < 1:
         raise ValueError("the expanded form needs n >= 1")
     if kappa.weight != moduli_dim(genus, n):

@@ -1,9 +1,11 @@
 """Acceptance gate: eleven checks, all exact, one test per criterion.
 
-Each test prints one summary line (visible with -v as the test outcome,
-and with -s as an ACCEPTANCE line carrying case count and elapsed time).
-Runtime targets are reported, not asserted; wall-clock assertions are
-flaky under load.
+Where a shipped ``verify`` suite checks a criterion, the test runs that
+suite and pins its exact ``PASS (N cases)`` line; the loops kept here check
+what no suite does. Each test prints one summary line (visible with -v as
+the test outcome, and with -s as an ACCEPTANCE line carrying case count and
+elapsed time). Runtime targets are reported, not asserted; wall-clock
+assertions are flaky under load.
 """
 
 import random
@@ -12,17 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import run
 from wprec.constants import ALPHA, GAMMA_FACT, GAMMA_ODD, ConstantTable
-from wprec.correlator import (
-    INITIAL_VALUES,
-    CorrelatorEngine,
-    CorrelatorKey,
-    check_dilaton_identity,
-    check_kdv_identity,
-    check_shift_identity,
-    check_string_identity,
-    check_transfer_identity,
-)
+from wprec.correlator import CorrelatorEngine, check_string_identity
 from wprec.hodge import (
     BaseValueProvider,
     DefaultBaseValues,
@@ -31,19 +25,33 @@ from wprec.hodge import (
 from wprec.kmz import KmzOracle
 from wprec.multiindex import ZERO, MultiIndex, delta, indices_of_weight
 from wprec.numbers import bernoulli, double_factorial, euler_number
-from wprec.series import shift_check
-from wprec.sweeps import (
-    closed_volume_indices,
-    correlator_signatures,
-    hodge_signatures,
-    kdv_cases,
-    rshift_cases,
-    volume_signatures,
-)
+from wprec.sweeps import correlator_signatures, hodge_signatures, volume_signatures
 from wprec.volumes import (
     VolumeEngine,
     check_expanded_volume,
 )
+
+# The verify suites that check each criterion, with the exact case count
+# each one prints.
+CRITERION_SUITES = {
+    4: [(("oracle", "--max-dim", "9"), 2521)],
+    5: [(("transfer",), 371)],
+    6: [(("string",), 666), (("dilaton",), 388)],
+    7: [(("kdv",), 166), (("rshift",), 335)],
+    8: [(("volume", "--max-dim", "9"), 380)],
+    9: [(("shift",), 348)],
+    10: [(("hodge",), 308)],
+}
+
+
+def _suites(capsys, number: int) -> int:
+    """Run the suites of one criterion; return their total case count."""
+    cases = 0
+    for (suite, *sizes), count in CRITERION_SUITES[number]:
+        result = run(capsys, "verify", "--suite", suite, *sizes)
+        assert result == (0, f"PASS ({count} cases)\n", ""), suite
+        cases += count
+    return cases
 
 
 @pytest.fixture(scope="module")
@@ -114,111 +122,62 @@ def test_criterion_03_gamma_bessel():
     _report(3, "gamma factorial row", len(expected), started)
 
 
-def test_criterion_04_master_oracle(engine, oracle):
+def test_criterion_04_master_oracle(capsys):
     started = time.perf_counter()
-    cases = 0
-    for genus, kappa, psi in correlator_signatures(9):
-        lhs = engine.correlator(genus, kappa, psi)
-        rhs = oracle.kmz_expand(genus, kappa, psi)
-        assert lhs == rhs, (genus, kappa, psi)
-        # In-dimension stable values are strictly positive.
-        assert lhs > 0, (genus, kappa, psi)
-        cases += 1
+    cases = _suites(capsys, 4)
     _report(4, "engine equals expansion, dim <= 9", cases, started)
 
 
-def test_criterion_05_transfer_identity(engine):
+def test_criterion_05_transfer_identity(capsys):
     started = time.perf_counter()
-    cases = 0
-    for genus, kappa, psi in correlator_signatures(6):
-        if CorrelatorKey.make(genus, kappa, psi) in INITIAL_VALUES:
-            # Seeds sit outside the identity's domain (see the engine
-            # docs); the recursion never evaluates it there.
-            continue
-        report = check_transfer_identity(engine, genus, kappa, psi)
-        assert report.equal, (genus, kappa, psi, report)
-        cases += 1
+    cases = _suites(capsys, 5)
     _report(5, "transfer identity, dim <= 6", cases, started)
 
 
-def test_criterion_06_string_and_dilaton(engine):
+def test_criterion_06_string_and_dilaton(capsys, engine):
     started = time.perf_counter()
-    cases = 0
-    # The literal criterion sweep: in-dimension signatures. The dilaton
-    # identity is nontrivial there; the string identity holds termwise.
+    # The suites walk the shell where the string identity carries content
+    # and the in-dimension dilaton signatures, n = 0 included.
+    cases = _suites(capsys, 6)
+    # The literal criterion sweep: on in-dimension signatures the string
+    # identity holds termwise.
     for genus, kappa, psi in correlator_signatures(6):
         assert check_string_identity(engine, genus, kappa, psi).equal
-        assert check_dilaton_identity(engine, genus, kappa, psi).equal
-        cases += 2
-    # The shell where the string identity carries content, n = 0 included.
-    for genus, kappa, psi in correlator_signatures(6, min_n=0, shell=1):
-        assert check_string_identity(engine, genus, kappa, psi).equal, (
-            genus,
-            kappa,
-            psi,
-        )
-        cases += 1
-    # Insertion-free dilaton: the n = 0 signatures.
-    for genus, kappa, psi in correlator_signatures(6, min_n=0):
-        if psi:
-            continue
-        assert check_dilaton_identity(engine, genus, kappa, psi).equal
         cases += 1
     _report(6, "string and dilaton identities", cases, started)
 
 
-def test_criterion_07_extension_identities(engine):
+def test_criterion_07_extension_identities(capsys):
     started = time.perf_counter()
-    cases = 0
-    for genus, kappa, psi in kdv_cases(6):
-        report = check_kdv_identity(engine, genus, kappa, psi)
-        assert report.equal, (genus, kappa, psi, report)
-        cases += 1
-    for genus, kappa, psi, r in rshift_cases(6):
-        report = check_shift_identity(engine, genus, kappa, psi, r)
-        assert report.equal, (genus, kappa, psi, r, report)
-        cases += 1
+    cases = _suites(capsys, 7)
     _report(7, "tau_0 tau_1 and tau_1 tau_r extensions", cases, started)
 
 
-def test_criterion_08_volume_routes(engine, volumes):
+def test_criterion_08_volume_routes(capsys, volumes):
     started = time.perf_counter()
-    cases = 0
+    cases = _suites(capsys, 8)
     for genus, n, kappa in volume_signatures(9):
-        assert volumes.volume(genus, n, kappa) == engine.correlator(
-            genus, kappa, (0,) * n
-        ), (genus, n, kappa)
         assert check_expanded_volume(volumes, genus, n, kappa).equal, (
             genus,
             n,
             kappa,
         )
-        cases += 2
-    for kappa in closed_volume_indices(2):
-        assert volumes.volume_closed(2, kappa) == engine.correlator(2, kappa)
-        cases += 1
-    # Genus 3 closed values, bounded by the module invariant's length cap.
-    for kappa in closed_volume_indices(3, max_length=4):
-        assert volumes.volume_closed(3, kappa) == engine.correlator(3, kappa)
         cases += 1
     assert volumes.volume(0, 3) == 1
     for n in range(4, 10):
         assert volumes.volume(0, n, delta(n - 3)) == 1
     assert volumes.volume(1, 1, delta(1)) == Fraction(1, 24)
     cases += 8
-    _report(8, "volume routes and spot values", cases, started)
+    _report(8, "volume routes, ladder and spot values", cases, started)
 
 
-def test_criterion_09_shift_check(engine, oracle):
+def test_criterion_09_shift_check(capsys):
     started = time.perf_counter()
-    report = shift_check(6, 3, 7, engine, oracle)
-    assert report.equal, report.mismatch
-    _report(9, "series shift at W=6 S=3 T=7", report.cases, started)
+    cases = _suites(capsys, 9)
+    _report(9, "series shift at W=6 S=3 T=7", cases, started)
 
 
 class _Rescaled(BaseValueProvider):
-    fingerprint = "acceptance:rescaled"
-
     def __init__(self, factor: Fraction):
         self._factor = factor
         self._inner = DefaultBaseValues()
@@ -227,18 +186,13 @@ class _Rescaled(BaseValueProvider):
         return self._factor * self._inner.base_value(genus, tag)
 
 
-def test_criterion_10_hodge_routes(hodge):
+def test_criterion_10_hodge_routes(capsys, hodge):
     started = time.perf_counter()
-    cases = 0
-    for genus, tag, kappa, psi in hodge_signatures(3, max_length=2, max_n=3):
-        primary = hodge.correlator(genus, tag, kappa, psi)
-        direct = hodge.correlator_direct(genus, tag, kappa, psi)
-        assert primary == direct, (genus, tag, kappa, psi)
-        cases += 1
+    cases = _suites(capsys, 10)
     rng = random.Random(0x5EED)
     factor = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
     scaled = HodgeEngine(_Rescaled(factor))
-    for genus, tag, kappa, psi in hodge_signatures(3, max_length=2, max_n=3):
+    for genus, tag, kappa, psi in hodge_signatures(3):
         base = hodge.correlator(genus, tag, kappa, psi)
         assert scaled.correlator(genus, tag, kappa, psi) == factor * base
         assert (

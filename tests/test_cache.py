@@ -7,7 +7,6 @@ import pytest
 from conftest import run
 from wprec.cache import (
     CACHE_HEADER,
-    check_cache,
     default_cache_path,
     load_cache,
     save_new_records,
@@ -88,21 +87,20 @@ def test_seed_engine_short_circuits_computation(tmp_path):
     assert CorrelatorEngine().correlator(2, psi=(3, 2)) == Fraction(29, 5760)
 
 
-def test_check_cache_detects_corruption(tmp_path):
+def test_check_cache_detects_corruption(capsys, tmp_path):
     path = tmp_path / "values.cache"
     engine = CorrelatorEngine()
     engine.correlator(2, psi=(3, 2))
     save_new_records(path, engine.memo)
-    ok, count, detail = check_cache(path)
-    assert ok and detail is None
-    assert count == len(engine.memo)
-    # Flip one digit of a stored value.
-    lines = path.read_text().split("\n")
-    lines[1] = lines[1].rsplit("\t", 1)[0] + "\t9/7"
-    path.write_text("\n".join(lines))
-    ok, count, detail = check_cache(path)
-    assert not ok
-    assert "9/7" in detail
+    argv = ("verify", "--suite", "cache", "--cache", str(path))
+    assert len(engine.memo) == 8
+    assert run(capsys, *argv) == (0, "PASS (8 cases)\n", "")
+    # Change the stored value of the seventh record in key order.
+    text = path.read_text()
+    assert "\n2||3,2\t29/5760\n" in text
+    path.write_text(text.replace("\t29/5760\n", "\t9/7\n"))
+    fail = "FAIL after 7 cases: 2||3,2: cached 9/7 != recomputed 29/5760\n"
+    assert run(capsys, *argv) == (1, fail, "")
 
 
 def test_default_cache_path(monkeypatch):

@@ -183,16 +183,8 @@ def test_indices_of_weight_counts_and_bounds():
         assert len(all_of_w) == _partition_count(w)
         assert all(b.weight == w for b in all_of_w)
         assert len(set(all_of_w)) == len(all_of_w)
-    bounded = list(indices_of_weight(6, max_index=2))
-    assert all(all(i <= 2 for i, _ in b) for b in bounded)
-    assert len(bounded) == 4
     short = list(indices_of_weight(6, max_length=2))
     assert all(b.length <= 2 for b in short)
     assert len(short) == 4
-    both = list(indices_of_weight(6, max_index=3, max_length=3))
-    brute = [
-        b
-        for b in indices_of_weight(6)
-        if b.length <= 3 and all(i <= 3 for i, _ in b)
-    ]
-    assert sorted(both) == sorted(brute)
+    brute = [b for b in indices_of_weight(6) if b.length <= 3]
+    assert sorted(indices_of_weight(6, max_length=3)) == sorted(brute)

@@ -1,4 +1,5 @@
-"""table refuses negative sizes with a usage error, as verify does."""
+"""table refuses negative sizes, and sizes its table does not read, with a
+usage error, as verify does."""
 
 import pytest
 
@@ -24,3 +25,33 @@ def test_table_accepts_zero_sizes(capsys):
     )
     assert code == 0 and err == ""
     assert out.splitlines()[0].startswith("genus")
+
+
+# (table argv, the sizes it reads, the given sizes it refuses)
+UNREAD = [
+    (
+        ("--constants", "alpha", "--max-weight", "1")
+        + ("--max-genus", "9", "--max-n", "3"),
+        "--max-weight",
+        "--max-genus, --max-n",
+    ),
+    (
+        ("--volumes", "--max-genus", "1", "--max-n", "1", "--max-weight", "7"),
+        "--max-genus, --max-n",
+        "--max-weight",
+    ),
+    (
+        ("--volumes", "--json", "--max-weight", "0"),
+        "--max-genus, --max-n",
+        "--max-weight",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, reads, refused", UNREAD, ids=["constants", "volumes", "volumes-json"]
+)
+def test_table_refuses_sizes_it_does_not_read(capsys, argv, reads, refused):
+    kind = argv[0][2:]
+    err = f"wprec: the {kind} table does not read {refused}; it reads {reads}\n"
+    assert run(capsys, "table", *argv) == (2, "", err)

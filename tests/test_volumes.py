@@ -1,5 +1,6 @@
-"""Volume recursions against the correlator route, plus the ladder and
-extension identities that live on top of them."""
+"""Volume recursions: spot values, gates, the expanded ladder and the
+extension identities that live on top of them. The sweep against the
+correlator route is the volume suite, which the acceptance gate runs."""
 
 from fractions import Fraction
 
@@ -10,12 +11,6 @@ from wprec.multiindex import ZERO, MultiIndex, delta
 from wprec.volumes import (
     VolumeEngine,
     check_expanded_volume,
-)
-from wprec.sweeps import (
-    closed_volume_indices,
-    kdv_cases,
-    rshift_cases,
-    volume_signatures,
 )
 
 
@@ -34,7 +29,7 @@ def test_spot_values(volumes):
     for n in range(4, 9):
         assert volumes.volume(0, n, delta(n - 3)) == 1
     assert volumes.volume(1, 1, delta(1)) == Fraction(1, 24)
-    assert volumes.volume(0, 4, {1: 1}) == 1
+    assert volumes.volume(0, 4, MultiIndex({1: 1})) == 1
     assert volumes.volume(0, 5, MultiIndex({1: 2})) == 5
     assert volumes.volume(0, 5, delta(2)) == 1
     assert volumes.volume(1, 2, MultiIndex({1: 2})) == Fraction(1, 8)
@@ -63,23 +58,6 @@ def test_gates_and_errors(volumes):
         volumes.volume_closed(1, delta(1))
 
 
-def test_open_volumes_match_correlators(volumes, engine):
-    """The closed recursion never sees the pivot engine; equality is earned."""
-    for genus, n, kappa in volume_signatures(6):
-        direct = volumes.volume(genus, n, kappa)
-        via_corr = engine.correlator(genus, kappa, (0,) * n)
-        assert direct == via_corr, (genus, n, kappa)
-
-
-def test_closed_volumes_match_correlators(volumes, engine):
-    for kappa in closed_volume_indices(2):
-        assert volumes.volume_closed(2, kappa) == engine.correlator(2, kappa)
-    for kappa in closed_volume_indices(3, max_length=4):
-        assert volumes.volume_closed(3, kappa) == engine.correlator(
-            3, kappa
-        ), kappa
-
-
 def test_expanded_ladder_examples(volumes):
     for genus, n, kappa in [
         (1, 1, delta(1)),
@@ -96,19 +74,12 @@ def test_expanded_ladder_examples(volumes):
         check_expanded_volume(volumes, 1, 1, delta(2))
 
 
-def test_expanded_ladder_sweep(volumes):
-    for genus, n, kappa in volume_signatures(6):
-        assert check_expanded_volume(volumes, genus, n, kappa).equal
-
-
 def test_kdv_identity(engine):
     # Off-shell example: every term is zero.
     report = check_kdv_identity(engine, 1, ZERO, ())
     assert report.equal and report.lhs == 0
     report = check_kdv_identity(engine, 1, delta(1), (1,))
     assert report.equal and report.lhs != 0
-    for genus, kappa, psi in kdv_cases(5):
-        assert check_kdv_identity(engine, genus, kappa, psi).equal
 
 
 def test_shift_identity(engine):
@@ -118,5 +89,3 @@ def test_shift_identity(engine):
     assert report.equal and report.lhs == Fraction(1, 24)
     with pytest.raises(ValueError):
         check_shift_identity(engine, 1, ZERO, (), -1)
-    for genus, kappa, psi, r in rshift_cases(5):
-        assert check_shift_identity(engine, genus, kappa, psi, r).equal
