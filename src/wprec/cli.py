@@ -45,7 +45,6 @@ from .multiindex import MultiIndex, indices_of_weight
 from .numbers import moduli_dim
 from .series import shift_check
 from .sweeps import (
-    closed_volume_indices,
     correlator_signatures,
     hodge_signatures,
     kdv_cases,
@@ -324,8 +323,7 @@ def _volume_cases(args: argparse.Namespace):
             sides,
         )
     for genus in range(2, (args.max_dim + 3) // 3 + 1):
-        cap = 4 if genus >= 3 else None
-        for kappa in closed_volume_indices(genus, max_length=cap):
+        for kappa in indices_of_weight(3 * genus - 3):
             yield (
                 f"V_{{{genus}}}({kappa.to_text()})",
                 volumes.volume_closed(genus, kappa),
@@ -344,9 +342,7 @@ def _hodge_cases(args: argparse.Namespace):
             engine.correlator_direct(genus, tag, kappa, psi),
             ("expansion ", "direct "),
         )
-    for genus, tag, d, d0, rest in pairing_reduction_cases(
-        min(args.max_genus, 3)
-    ):
+    for genus, tag, d, d0, rest in pairing_reduction_cases(args.max_genus):
         report = check_pairing_reduction(engine, genus, tag, d, d0, rest)
         name = f"g={genus} {tag} d={d} d0={d0} rest={rest}"
         yield name, report.lhs, report.rhs, _IDENTITY

@@ -38,7 +38,7 @@ class ConstantTable:
         # coefficient is (-1)^length(b) / b!, every other term has L
         # strictly contained in b, so the recursion terminates.
         acc = Fraction(0)
-        for left, right in splits2(b):
+        for left, right, _ in splits2(b):
             if not right:
                 continue
             sign = -1 if left.length % 2 else 1

@@ -39,7 +39,6 @@ from .constants import ALPHA, ConstantTable
 from .multiindex import (
     ZERO,
     MultiIndex,
-    multi_binomial,
     multiset_splits,
     splits2,
 )
@@ -157,7 +156,7 @@ class CorrelatorEngine:
         ]
 
         total_n, total_d = 0, 1
-        for left, rest_kappa in splits2(b):
+        for left, rest_kappa, cb in splits2(b):
             a = alpha(left)
             if not a:
                 continue
@@ -201,8 +200,7 @@ class CorrelatorEngine:
                     ).as_integer_ratio()
                     acc_n, acc_d = add_ratio(acc_n, acc_d, odd[r] * vn, vd)
             if base >= 2:
-                for mid, rest in splits2(rest_kappa):
-                    cm = multi_binomial(rest_kappa, mid)
+                for mid, rest, cm in splits2(rest_kappa):
                     for part_i, part_j, ways, shift in pairs:
                         dim_i = mid.weight + shift
                         # g_i = (dim_i + r) / 3 must be an integer in 0..g.
@@ -235,7 +233,7 @@ class CorrelatorEngine:
                 total_n, total_d = add_ratio(
                     total_n,
                     total_d,
-                    an * multi_binomial(b, left) * acc_n,
+                    an * cb * acc_n,
                     ad * acc_d,
                 )
 
@@ -260,8 +258,7 @@ def _split_pairs(
     number of position subsets that give it (multiset_splits).
     """
     total = Fraction(0)
-    for left, right in splits2(kappa):
-        cb = multi_binomial(kappa, left)
+    for left, right, cb in splits2(kappa):
         for part_i, part_j, ways in multiset_splits(exps):
             for gi in range(genus + 1):
                 first = engine.correlator(gi, left, head_i + part_i)
@@ -284,11 +281,11 @@ def _signed_point_sum(
     (shift 0) and dilaton (shift 1) identities with its kappa corrections.
     """
     total = Fraction(0)
-    for left, rest in splits2(kappa):
+    for left, rest, cb in splits2(kappa):
         sign = -1 if left.length % 2 else 1
         total += (
             sign
-            * multi_binomial(kappa, left)
+            * cb
             * engine.correlator(genus, rest, exps + (left.weight + shift,))
         )
     return total
@@ -315,11 +312,11 @@ def check_transfer_identity(
     others = exps[1:]
 
     lhs = Fraction(0)
-    for left, rest in splits2(kappa):
+    for left, rest, cb in splits2(kappa):
         sign = -1 if left.length % 2 else 1
         lhs += (
             sign
-            * multi_binomial(kappa, left)
+            * cb
             * Fraction(
                 double_factorial(2 * d1 + 2 * left.weight + 1),
                 double_factorial(2 * left.weight + 1),

@@ -41,7 +41,7 @@ from typing import Iterator
 
 from .constants import GAMMA_FACT, GAMMA_ODD
 from .kmz import kappa_partition_terms
-from .multiindex import ZERO, MultiIndex, delta, multi_binomial, splits2
+from .multiindex import ZERO, MultiIndex, delta, splits2
 from .numbers import IdentityReport, bernoulli, double_factorial
 
 LAMBDA_G = "lambda_g"
@@ -228,20 +228,18 @@ class HodgeEngine:
             a = kappa.entries[0][0]
             m = kappa - delta(a)
             result = Fraction(0)
-            for left, right in splits2(m):
+            for left, right, cb in splits2(m):
                 sign = -1 if right.length % 2 else 1
                 fresh = tuple(sorted(exps + (a + 1 + right.weight,), reverse=True))
-                cb = sign * multi_binomial(m, left)
-                result += cb * self._direct(genus, tag, left, fresh)
+                result += sign * cb * self._direct(genus, tag, left, fresh)
         elif exps[-1] == 0:
             rest = exps[:-1]
             result = Fraction(0)
             for lowered in _lowered(rest):
                 result += self._direct(genus, tag, kappa, lowered)
-            for left, right in splits2(kappa):
+            for left, right, cb in splits2(kappa):
                 if not right:
                     continue
-                cb = multi_binomial(kappa, left)
                 if right.weight == 1:
                     result += (
                         cb
@@ -255,8 +253,8 @@ class HodgeEngine:
         else:
             gamma = _GAMMA[tag].value
             result = Fraction(0)
-            for left, right in splits2(kappa):
-                gcb = gamma(left) * multi_binomial(kappa, left)
+            for left, right, cb in splits2(kappa):
+                gcb = gamma(left) * cb
                 if not gcb:
                     continue
                 for coeff, merged in _two_point_terms(

@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .multiindex import (
     MultiIndex,
-    multi_multinomial,
     multiset_partitions,
     multiset_splits,
     ordered_nonempty_partitions,
@@ -57,8 +56,7 @@ def kappa_partition_terms(
     for k in range(1, q + 1):
         sign = -1 if (q - k) % 2 else 1
         base = Fraction(sign, math.factorial(k))
-        for parts in ordered_nonempty_partitions(kappa, k):
-            ways = multi_multinomial(kappa, *parts[:-1])
+        for parts, ways in ordered_nonempty_partitions(kappa, k):
             exps = tuple(sorted((p.weight + 1 for p in parts), reverse=True))
             collected.append((base * ways, exps))
     return _partition_terms_cache.setdefault(kappa, tuple(collected))
@@ -235,15 +233,15 @@ class KmzOracle:
             k = sum(count for _, count in shape)
             sign = -1 if (q - k) % 2 else 1
             denom = 1
-            flat: list[MultiIndex] = []
+            dealt = 1
+            new: tuple[int, ...] = ()
             for part, count in shape:
                 denom *= math.factorial(count)
-                flat.extend([part] * count)
-            ways = multi_multinomial(kappa, *flat[:-1])
-            new = tuple(p.weight + 1 for p in flat)
+                dealt *= part.factorial() ** count
+                new += (part.weight + 1,) * count
             total += (
                 Fraction(sign, denom)
-                * ways
+                * (kappa.factorial() // dealt)
                 * self._pure(genus, tuple(sorted(exps + new, reverse=True)))
             )
         return total

@@ -7,6 +7,13 @@ canonical entry tuple, so they work as dict keys and sort stably in output.
 
 The text form is ``i:m`` pairs joined by commas in ascending index order
 ("1:2,3:1"); the zero index is the empty string.
+
+Each combinatorial object has one enumerator here, and an enumerator that
+weights its objects yields the weight with the object, worked out where the
+object is built: splits2 yields C(b, L) with each split, and
+ordered_nonempty_partitions and multiset_splits their dealing counts.
+partitions is the one integer-partition enumerator; indices_of_weight
+filters it.
 """
 
 from __future__ import annotations
@@ -175,22 +182,13 @@ def multi_binomial(b: MultiIndex, sub: MultiIndex) -> int:
     return out
 
 
-def multi_multinomial(b: MultiIndex, *parts: MultiIndex) -> int:
-    """Ways to deal b's copies into the given parts plus an implicit rest."""
-    out = 1
-    remaining = b
-    for part in parts:
-        out *= multi_binomial(remaining, part)
-        remaining = remaining - part
-    return out
-
-
-def splits2(b: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex]]:
-    """All ordered pairs (L, L') with L + L' = b.
+def splits2(b: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex, int]]:
+    """All ordered pairs (L, L') with L + L' = b, each with C(b, L).
 
     The first pair yielded is (0, b) and the last is (b, 0); there are
     prod(b(i) + 1) pairs in total. Each pair is built in one pass over b's
-    entries, which sums L's weight and length on the way; L' gets b's
+    entries, which sums L's weight and length and multiplies the count
+    C(b, L) = prod C(b(i), L(i)) on the way; L' gets b's weight and length
     minus L's, and both go through the trusted constructor.
     """
     entries = b.entries
@@ -200,6 +198,7 @@ def splits2(b: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex]]:
         left = []
         right = []
         w = n = 0
+        ways = 1
         for (i, m), c in zip(entries, counts):
             if c:
                 left.append((i, c))
@@ -207,38 +206,40 @@ def splits2(b: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex]]:
                 n += c
                 if c != m:
                     right.append((i, m - c))
+                    ways *= comb(m, c)
             else:
                 right.append((i, m))
-        yield raw(tuple(left), w, n), raw(tuple(right), weight - w, length - n)
+        yield raw(tuple(left), w, n), raw(tuple(right), weight - w, length - n), ways
 
 
 def splits3(
     b: MultiIndex,
 ) -> Iterator[tuple[MultiIndex, MultiIndex, MultiIndex]]:
     """All ordered triples (L, e, f) with L + e + f = b."""
-    for left, rest in splits2(b):
-        for mid, right in splits2(rest):
+    for left, rest, _ in splits2(b):
+        for mid, right, _ in splits2(rest):
             yield left, mid, right
 
 
 def ordered_nonempty_partitions(
     m: MultiIndex, k: int
-) -> Iterator[tuple[MultiIndex, ...]]:
-    """Ordered k-tuples of nonzero multi-indices summing to m."""
+) -> Iterator[tuple[tuple[MultiIndex, ...], int]]:
+    """Ordered k-tuples of nonzero multi-indices summing to m, each with the
+    number of ways m!/prod(part!) to deal m's copies into those parts."""
     if k == 0:
         if not m:
-            yield ()
+            yield (), 1
         return
     if m.length < k:
         return
     if k == 1:
-        yield (m,)
+        yield (m,), 1
         return
-    for first, rest in splits2(m):
+    for first, rest, ways in splits2(m):
         if not first:
             continue
-        for tail in ordered_nonempty_partitions(rest, k - 1):
-            yield (first,) + tail
+        for tail, tail_ways in ordered_nonempty_partitions(rest, k - 1):
+            yield (first,) + tail, ways * tail_ways
 
 
 def multiset_partitions(
@@ -258,7 +259,7 @@ def multiset_partitions(
         if not remaining:
             yield ()
             return
-        for part, _ in splits2(remaining):
+        for part, _, _ in splits2(remaining):
             if not part:
                 continue
             if bound is not None and not part < bound:
@@ -299,34 +300,32 @@ def multiset_splits(values: tuple) -> Iterator[tuple[tuple, tuple, int]]:
         yield tuple(picked), tuple(left), count
 
 
+def partitions(
+    total: int, max_part: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing positive tuples summing to total; () for zero.
+
+    Tuples come in descending lexicographic order.
+    """
+    if total < 0:
+        return
+    if total == 0:
+        yield ()
+        return
+    top = total if max_part is None else min(total, max_part)
+    for first in range(top, 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first,) + rest
+
+
 def indices_of_weight(
     w: int, max_length: int | None = None
 ) -> Iterator[MultiIndex]:
-    """All multi-indices of weight w, optionally bounded in length.
+    """All multi-indices of weight w, optionally bounded in length, in the
+    order of their partitions of w.
 
     Weight 0 yields only the zero index.
     """
-    if w < 0:
-        return
-
-    def build(
-        remaining: int, largest: int, room: int | None
-    ) -> Iterator[tuple[tuple[int, int], ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        if room is not None and room == 0:
-            return
-        for i in range(min(largest, remaining), 0, -1):
-            max_copies = remaining // i
-            if room is not None:
-                max_copies = min(max_copies, room)
-            for m in range(max_copies, 0, -1):
-                next_room = None if room is None else room - m
-                for tail in build(remaining - i * m, i - 1, next_room):
-                    yield ((i, m),) + tail
-
-    for entries in build(w, w, max_length):
-        yield MultiIndex._raw(
-            tuple(sorted(entries)), w, sum(m for _, m in entries)
-        )
+    for parts in partitions(w):
+        if max_length is None or len(parts) <= max_length:
+            yield MultiIndex((i, 1) for i in parts)

@@ -12,23 +12,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from .hodge import LAMBDA_G, LAMBDA_G_GM1, pairing_degree
-from .multiindex import MultiIndex, indices_of_weight
+from .multiindex import MultiIndex, indices_of_weight, partitions
 from .numbers import moduli_dim
-
-
-def partitions(
-    total: int, max_part: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing positive tuples summing to total; () for zero."""
-    if total < 0:
-        return
-    if total == 0:
-        yield ()
-        return
-    top = total if max_part is None else min(total, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions(total - first, first):
-            yield (first,) + rest
 
 
 def psi_lists(total: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -82,15 +67,6 @@ def volume_signatures(
     for genus, n, dim in stable_windows(max_dim, 1):
         for kappa in indices_of_weight(dim):
             yield genus, n, kappa
-
-
-def closed_volume_indices(
-    genus: int, max_length: int | None = None
-) -> Iterator[MultiIndex]:
-    """Kappa indices pairing on the unpointed genus-g space."""
-    if genus < 2:
-        raise ValueError(f"closed volumes need genus >= 2, got {genus}")
-    yield from indices_of_weight(3 * genus - 3, max_length=max_length)
 
 
 def hodge_signatures(

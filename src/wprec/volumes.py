@@ -21,9 +21,12 @@ sets to zero. In _bracket the split V_{g_i,r+2}(L) V_{g-g_i,n+1-r}(L') is
 on dimension only at r = wt(L) + 1 - 3g_i (kept when 0 <= r < n), and then
 so is its second factor, as wt(L) + wt(L') = 3g - 3 + n. In volume_closed
 the three-way split's factor V_{g_i,1}(kappa(e) kappa_wt(L)) needs
-wt(e) + wt(L) = 3g_i - 2, which fixes g_i. Integer weights multiply each
-term, but the fractional ones are applied to whole sums: _bracket halves
-its split sum once, and volume_closed divides its V_{g-1,3} sum by 6 once.
+wt(e) + wt(L) = 3g_i - 2, which fixes g_i. Every split comes from
+multiindex.splits2 together with its count C(b, L); the three-way split is
+splits2 nested in splits2, weighted by the product of the two counts.
+Integer weights multiply each term, but the fractional ones are applied to
+whole sums: _bracket halves its split sum once, and volume_closed divides
+its V_{g-1,3} sum by 6 once.
 
 No Fraction arithmetic happens inside a sum either. Each sub-value is read
 once as an integer pair and its weighted term added into an unreduced pair
@@ -42,10 +45,7 @@ from .multiindex import (
     ZERO,
     MultiIndex,
     delta,
-    multi_binomial,
-    multi_multinomial,
     splits2,
-    splits3,
 )
 from .numbers import IdentityReport, add_ratio, double_factorial, moduli_dim
 
@@ -91,8 +91,7 @@ class VolumeEngine:
         which then puts V_{g-g_i,n+1-r}(L') on its dimension as well."""
         splits_n, splits_d = 0, 1
         merges_n, merges_d = 0, 1
-        for left, right in splits2(kappa):
-            cb = multi_binomial(kappa, left)
+        for left, right, cb in splits2(kappa):
             if right.length >= 2:
                 vn, vd = self.volume(
                     genus, n, left + delta(right.weight)
@@ -130,8 +129,7 @@ class VolumeEngine:
         q = kappa.length
         total_n, total_d = 0, 1
         sixths_n, sixths_d = 0, 1
-        for left, right in splits2(kappa):
-            cb = multi_binomial(kappa, left)
+        for left, right, cb in splits2(kappa):
             vn, vd = self.volume(
                 genus, 1, left + delta(right.weight + 1)
             ).as_integer_ratio()
@@ -139,36 +137,31 @@ class VolumeEngine:
             xn, xd = self._times_kappa(genus - 1, 3, left, right.weight)
             sixths_n, sixths_d = add_ratio(sixths_n, sixths_d, cb * xn, xd)
         total_n, total_d = add_ratio(total_n, total_d, -sixths_n, 6 * sixths_d)
-        for left, mid, rest in splits3(kappa):
-            # V_{g_i,1}(kappa(mid) kappa_wt(left)) needs
-            # wt(mid) + wt(left) = 3g_i - 2, both when wt(left) = 0 (the
-            # scalar case) and when it adds delta_wt(left).
-            gi, off = divmod(mid.weight + left.weight + 2, 3)
-            if off or gi > genus:
-                continue
-            fn, fd = self._times_kappa(gi, 1, mid, left.weight)
-            if fn:
-                sn, sd = self.volume(genus - gi, 2, rest).as_integer_ratio()
-                total_n, total_d = add_ratio(
-                    total_n,
-                    total_d,
-                    -multi_multinomial(kappa, left, mid) * fn * sn,
-                    fd * sd,
-                )
-        for left, right in splits2(kappa):
+        for left, others, cb in splits2(kappa):
+            for mid, rest, cm in splits2(others):
+                # V_{g_i,1}(kappa(mid) kappa_wt(left)) needs
+                # wt(mid) + wt(left) = 3g_i - 2, both when wt(left) = 0 (the
+                # scalar case) and when it adds delta_wt(left).
+                gi, off = divmod(mid.weight + left.weight + 2, 3)
+                if off or gi > genus:
+                    continue
+                fn, fd = self._times_kappa(gi, 1, mid, left.weight)
+                if fn:
+                    sn, sd = self.volume(genus - gi, 2, rest).as_integer_ratio()
+                    total_n, total_d = add_ratio(
+                        total_n, total_d, -cb * cm * fn * sn, fd * sd
+                    )
+        for left, right, cb in splits2(kappa):
             if right.length < 2:
                 continue
-            cb = multi_binomial(kappa, left)
             bumped = left + delta(right.weight)
             vn, vd = self.volume_closed(genus, bumped).as_integer_ratio()
             total_n, total_d = add_ratio(
                 total_n, total_d, -(2 * genus - 1 + q) * cb * vn, vd
             )
-            for e, f in splits2(bumped):
+            for e, f, ce in splits2(bumped):
                 xn, xd = self._times_kappa(genus, 0, e, f.weight)
-                total_n, total_d = add_ratio(
-                    total_n, total_d, -cb * multi_binomial(bumped, e) * xn, xd
-                )
+                total_n, total_d = add_ratio(total_n, total_d, -cb * ce * xn, xd)
 
         prefactor = (2 * genus - 1) * (2 * genus - 2) + (4 * genus - 3) * q + q * q
         result = Fraction(total_n, total_d * prefactor)

@@ -38,7 +38,7 @@ CRITERION_SUITES = {
     5: [(("transfer",), 371)],
     6: [(("string",), 666), (("dilaton",), 388)],
     7: [(("kdv",), 166), (("rshift",), 335)],
-    8: [(("volume", "--max-dim", "9"), 380)],
+    8: [(("volume", "--max-dim", "9"), 394)],
     9: [(("shift",), 348)],
     10: [(("hodge",), 308)],
 }

@@ -135,23 +135,6 @@ def test_table_volumes(capsys):
     assert not any(r[:2] == ["1", "0"] for r in rows[1:])
 
 
-def test_verify_suites_small(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "transfer", "--max-dim", "3")
-    assert code == 0
-    assert out.startswith("PASS (") and out.strip().endswith("cases)")
-    code, out, _ = run(capsys, "verify", "--suite", "string", "--max-dim", "2")
-    assert code == 0
-    code, out, _ = run(capsys, "verify", "--suite", "volume", "--max-dim", "4")
-    assert code == 0
-    code, out, _ = run(
-        capsys,
-        "verify", "--shift", "--cutoff", "2", "--s-vars", "1", "--t-vars", "3",
-    )
-    assert code == 0
-    code, out, _ = run(capsys, "verify", "--oracle", "--max-dim", "4")
-    assert code == 0
-
-
 def test_verify_needs_exactly_one_suite(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2 and "exactly one suite" in err
@@ -210,6 +193,11 @@ def test_unknown_arguments_exit_via_argparse(capsys):
         (("--suite", "hodge", "--max-genus", "2"), "PASS (121 cases)\n"),
         (("--shift", "--cutoff", "3", "--t-vars", "4"), "PASS (38 cases)\n"),
         (("--shift", "--cutoff", "3"), "PASS (38 cases)\n"),
+        (("--suite", "hodge", "--max-genus", "4"), "PASS (650 cases)\n"),
+        (
+            ("--shift", "--cutoff", "2", "--s-vars", "1", "--t-vars", "3"),
+            "PASS (13 cases)\n",
+        ),
     ],
 )
 def test_verify_golden_output(capsys, argv, out):

@@ -52,7 +52,7 @@ def test_defining_convolution_all_tables():
         for w in range(1, 9):
             for b in indices_of_weight(w):
                 row = Fraction(0)
-                for left, right in splits2(b):
+                for left, right, _ in splits2(b):
                     sign = -1 if left.length % 2 else 1
                     row += (
                         sign
@@ -124,7 +124,7 @@ def test_gamma_kdv_inverts_alpha():
         for b in indices_of_weight(w):
             acc = sum(
                 ALPHA.value(left) / left.factorial() * gamma_kdv(right)
-                for left, right in splits2(b)
+                for left, right, _ in splits2(b)
             )
             assert acc == (1 if not b else 0), b
 

@@ -142,7 +142,7 @@ def test_transfer_identity_fails_on_seeds(engine):
 def _literal_split_pairs(engine, genus, kappa, exps, head_i, head_j):
     """The separating-node sum with one term per position subset of exps."""
     total = Fraction(0)
-    for left, right in splits2(kappa):
+    for left, right, _ in splits2(kappa):
         cb = multi_binomial(kappa, left)
         for part_i, part_j in subsets(exps):
             for gi in range(genus + 1):

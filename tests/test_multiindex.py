@@ -16,7 +16,6 @@ from wprec.multiindex import (
     delta,
     indices_of_weight,
     multi_binomial,
-    multi_multinomial,
     multiset_partitions,
     multiset_splits,
     ordered_nonempty_partitions,
@@ -87,14 +86,11 @@ def test_multi_binomial_and_multinomial():
         multi_binomial(sub, b)
     with pytest.raises(ValueError):
         multi_binomial(b, MultiIndex({3: 1}))
-    # Dealing all copies out: multinomial of the multiplicities.
-    assert multi_multinomial(b, MultiIndex({1: 1}), MultiIndex({1: 1})) == 6
-    assert multi_multinomial(b) == 1
 
 
 def test_splits2_count_order_and_sum():
     for b in indices_of_weight(7):
-        pairs = list(splits2(b))
+        pairs = [(left, right) for left, right, _ in splits2(b)]
         assert len(pairs) == prod(m + 1 for _, m in b)
         assert pairs[0] == (ZERO, b)
         assert pairs[-1] == (b, ZERO)
@@ -109,7 +105,7 @@ def test_splits3_matches_iterated_splits2():
         assert all(l + e + f == b for l, e, f in triples)
         # |splits3| = sum over left of |splits2(rest)|.
         assert len(triples) == sum(
-            1 for _, rest in splits2(b) for _ in splits2(rest)
+            1 for _, rest, _ in splits2(b) for _ in splits2(rest)
         )
         assert len(set(triples)) == len(triples)
 
@@ -117,13 +113,16 @@ def test_splits3_matches_iterated_splits2():
 def test_ordered_nonempty_partitions():
     m = MultiIndex({1: 2, 2: 1})
     assert list(ordered_nonempty_partitions(m, 0)) == []
-    assert list(ordered_nonempty_partitions(ZERO, 0)) == [()]
-    assert list(ordered_nonempty_partitions(m, 1)) == [(m,)]
+    assert list(ordered_nonempty_partitions(ZERO, 0)) == [((), 1)]
+    assert list(ordered_nonempty_partitions(m, 1)) == [((m,), 1)]
     for k in range(1, 5):
-        parts = list(ordered_nonempty_partitions(m, k))
+        dealt = list(ordered_nonempty_partitions(m, k))
+        parts = [p for p, _ in dealt]
         assert all(sum(p, ZERO) == m for p in parts)
         assert all(all(q for q in p) for p in parts)
         assert len(set(parts)) == len(parts)
+        for p, ways in dealt:
+            assert ways == m.factorial() // prod(q.factorial() for q in p)
     # length 3: three singletons, the two 1s interchangeable: 3!/2! = 3.
     assert len(list(ordered_nonempty_partitions(m, 3))) == 3
     assert list(ordered_nonempty_partitions(m, 4)) == []
@@ -183,6 +182,12 @@ def test_indices_of_weight_counts_and_bounds():
         assert len(all_of_w) == _partition_count(w)
         assert all(b.weight == w for b in all_of_w)
         assert len(set(all_of_w)) == len(all_of_w)
+        # Descending in the expanded partition tuple: (3,), (2, 1), (1, 1, 1).
+        expanded = [
+            tuple(i for i, m in reversed(b.entries) for _ in range(m))
+            for b in all_of_w
+        ]
+        assert expanded == sorted(expanded, reverse=True)
     short = list(indices_of_weight(6, max_length=2))
     assert all(b.length <= 2 for b in short)
     assert len(short) == 4

@@ -19,7 +19,7 @@ from conftest import run
 from wprec.constants import ALPHA
 from wprec.correlator import INITIAL_VALUES, CorrelatorEngine, CorrelatorKey
 from wprec.kmz import KmzOracle
-from wprec.multiindex import multi_multinomial, multiset_splits, splits3
+from wprec.multiindex import multiset_splits, splits3
 from wprec.numbers import double_factorial, moduli_dim
 from wprec.sweeps import correlator_signatures, psi_lists
 
@@ -39,7 +39,9 @@ def scan_pivot(engine, g, b, d, pivot):
     for left, mid, rest in splits3(b):
         a = ALPHA.value(left)
         base = left.weight + dp
-        w = a * multi_multinomial(b, left, mid)
+        # The ways to deal b's copies into L, e and f: b! / (L! e! f!).
+        dealt = left.factorial() * mid.factorial() * rest.factorial()
+        w = a * (b.factorial() // dealt)
         if not mid:
             # The moves that keep kappa - L whole: merges and genus drop.
             for pos, v in enumerate(others):

@@ -1,5 +1,6 @@
 """The bookkeeping of the volume kernel: the weight and length that splits2
-carries through its trusted constructor, and the genus-preserving bracket
+carries through its trusted constructor and the count C(b, L) it yields with
+each split, and the genus-preserving bracket
 whose point count r is solved from the dimension rather than scanned."""
 
 import itertools
@@ -55,9 +56,12 @@ def reference_bracket(volumes, genus, n, kappa):
 def test_splits2_sides_match_the_checked_constructor():
     for w in range(9):
         for b in indices_of_weight(w):
-            pairs = list(splits2(b))
+            triples = list(splits2(b))
+            pairs = [(left, right) for left, right, _ in triples]
             expected = list(reference_splits(b))
             assert pairs == expected, b
+            for left, _, ways in triples:
+                assert ways == multi_binomial(b, left), (b, left)
             count = 1
             for _, m in b.entries:
                 count *= m + 1
