@@ -17,6 +17,17 @@ into an unreduced pair (numbers.add_ratio), alpha(L) C(b, L) folds that pair
 into the evaluation's pair, and the one division, by 2 (2d + 1)!!, builds
 the single normalised Fraction that the memo stores.
 
+One L's terms, its bracket, hold kappa(L') and the pivot exponent
+d + wt(L). On shell wt(L) = 3g - 3 + n - sum(d) - wt(L') is fixed by the
+rest, so the bracket depends only on (g, L', d, pivot) and is shared by
+every b that contains L' with the same weight. Each engine keeps its
+brackets under that key in its own table, as gcd-reduced integer pairs:
+per engine because they hold sub-values, which depend on the alpha table,
+and keyed on the pivot because correlator_via_pivot runs other pivots on a
+warm engine. Brackets with wt(L) <= 1 are not kept: L is then the only
+index of its weight, so no other b reads them. The value cache never
+stores brackets.
+
 Insertion-free correlators (n = 0, forced g >= 2) are first traded for
 one-point ones through the signed dilaton-type relation
 (2g - 2) <kappa(b)> = sum over L + L' = b of
@@ -33,6 +44,7 @@ _signed_point_sum. IdentityReport, their result type, lives in numbers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .constants import ALPHA, ConstantTable
@@ -93,6 +105,8 @@ class CorrelatorEngine:
     def __init__(self, alpha_table: ConstantTable | None = None):
         self._alpha = (alpha_table or ALPHA).value
         self.memo: dict[CorrelatorKey, Fraction] = {}
+        # (g, L', d, pivot) -> one L's bracket; see the module docstring.
+        self.brackets: dict[tuple, tuple[int, int]] = {}
 
     def correlator(self, genus: int, kappa: MultiIndex = ZERO, psi=()) -> Fraction:
         return self._value(CorrelatorKey.make(genus, kappa, psi))
@@ -142,6 +156,7 @@ class CorrelatorEngine:
         others = d[:pivot] + d[pivot + 1 :]
         alpha = self._alpha
         value = self._value
+        brackets = self.brackets
 
         counts: dict[int, int] = {}
         removed: dict[int, tuple[int, ...]] = {}
@@ -160,74 +175,87 @@ class CorrelatorEngine:
             a = alpha(left)
             if not a:
                 continue
-            base = left.weight + dp
-            # 2 / (alpha(L) C(b, L)) times this L's terms, as acc_n / acc_d.
-            acc_n, acc_d = 0, 1
-            for v, c in counts.items():
-                merged = base + v - 1
-                if merged < 0:
-                    continue
-                vn, vd = value(
-                    CorrelatorKey(
-                        g,
-                        rest_kappa,
-                        tuple(sorted(removed[v] + (merged,), reverse=True)),
-                    )
-                ).as_integer_ratio()
-                acc_n, acc_d = add_ratio(
-                    acc_n,
-                    acc_d,
-                    2
-                    * c
-                    * double_factorial(2 * (base + v) - 1)
-                    // double_factorial(2 * v - 1)
-                    * vn,
-                    vd,
-                )
-            # (2r + 1)!! (2s + 1)!! for r + s = base - 2, indexed by r.
-            odd = [
-                double_factorial(2 * r + 1) * double_factorial(2 * (base - r) - 3)
-                for r in range(base - 1)
-            ]
-            if g >= 1:
-                for r in range(base - 1):
+            # On shell wt(L) is fixed by (g, L', d), so the key omits L.
+            key = (g, rest_kappa, d, pivot)
+            bracket = brackets.get(key)
+            if bracket is None:
+                base = left.weight + dp
+                # 2 / (alpha(L) C(b, L)) times this L's terms, as acc_n / acc_d.
+                acc_n, acc_d = 0, 1
+                for v, c in counts.items():
+                    merged = base + v - 1
+                    if merged < 0:
+                        continue
                     vn, vd = value(
                         CorrelatorKey(
-                            g - 1,
+                            g,
                             rest_kappa,
-                            tuple(sorted(others + (r, base - 2 - r), reverse=True)),
+                            tuple(sorted(removed[v] + (merged,), reverse=True)),
                         )
                     ).as_integer_ratio()
-                    acc_n, acc_d = add_ratio(acc_n, acc_d, odd[r] * vn, vd)
-            if base >= 2:
-                for mid, rest, cm in splits2(rest_kappa):
-                    for part_i, part_j, ways, shift in pairs:
-                        dim_i = mid.weight + shift
-                        # g_i = (dim_i + r) / 3 must be an integer in 0..g.
-                        low = max(0, -dim_i)
-                        low += -(dim_i + low) % 3
-                        for r in range(low, min(base - 2, 3 * g - dim_i) + 1, 3):
-                            gi = (dim_i + r) // 3
-                            fn, fd = value(
-                                CorrelatorKey(
-                                    gi, mid, tuple(sorted(part_i + (r,), reverse=True))
-                                )
-                            ).as_integer_ratio()
-                            if not fn:
-                                continue
-                            s = base - 2 - r
-                            sn, sd = value(
-                                CorrelatorKey(
-                                    g - gi,
-                                    rest,
-                                    tuple(sorted(part_j + (s,), reverse=True)),
-                                )
-                            ).as_integer_ratio()
-                            if not sn:
-                                continue
-                            acc_n, acc_d = add_ratio(
-                                acc_n, acc_d, cm * ways * odd[r] * fn * sn, fd * sd
+                    acc_n, acc_d = add_ratio(
+                        acc_n,
+                        acc_d,
+                        2
+                        * c
+                        * double_factorial(2 * (base + v) - 1)
+                        // double_factorial(2 * v - 1)
+                        * vn,
+                        vd,
+                    )
+                # (2r + 1)!! (2s + 1)!! for r + s = base - 2, indexed by r.
+                odd = [
+                    double_factorial(2 * r + 1) * double_factorial(2 * (base - r) - 3)
+                    for r in range(base - 1)
+                ]
+                if g >= 1:
+                    for r in range(base - 1):
+                        vn, vd = value(
+                            CorrelatorKey(
+                                g - 1,
+                                rest_kappa,
+                                tuple(sorted(others + (r, base - 2 - r), reverse=True)),
                             )
+                        ).as_integer_ratio()
+                        acc_n, acc_d = add_ratio(acc_n, acc_d, odd[r] * vn, vd)
+                if base >= 2:
+                    for mid, rest, cm in splits2(rest_kappa):
+                        for part_i, part_j, ways, shift in pairs:
+                            dim_i = mid.weight + shift
+                            # g_i = (dim_i + r) / 3 must be an integer in 0..g.
+                            low = max(0, -dim_i)
+                            low += -(dim_i + low) % 3
+                            for r in range(low, min(base - 2, 3 * g - dim_i) + 1, 3):
+                                gi = (dim_i + r) // 3
+                                fn, fd = value(
+                                    CorrelatorKey(
+                                        gi,
+                                        mid,
+                                        tuple(sorted(part_i + (r,), reverse=True)),
+                                    )
+                                ).as_integer_ratio()
+                                if not fn:
+                                    continue
+                                s = base - 2 - r
+                                sn, sd = value(
+                                    CorrelatorKey(
+                                        g - gi,
+                                        rest,
+                                        tuple(sorted(part_j + (s,), reverse=True)),
+                                    )
+                                ).as_integer_ratio()
+                                if not sn:
+                                    continue
+                                acc_n, acc_d = add_ratio(
+                                    acc_n, acc_d, cm * ways * odd[r] * fn * sn, fd * sd
+                                )
+                common = gcd(acc_n, acc_d)
+                bracket = acc_n // common, acc_d // common
+                # Below weight 2 L is the only index of its weight, so only
+                # this b, whose value the memo keeps, reaches the key.
+                if left.weight >= 2:
+                    brackets[key] = bracket
+            acc_n, acc_d = bracket
             if acc_n:
                 an, ad = a.as_integer_ratio()
                 total_n, total_d = add_ratio(

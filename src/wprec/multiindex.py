@@ -14,6 +14,14 @@ object is built: splits2 yields C(b, L) with each split, and
 ordered_nonempty_partitions and multiset_splits their dealing counts.
 partitions is the one integer-partition enumerator; indices_of_weight
 filters it.
+
+Instances are interned: the trusted constructor MultiIndex._raw, which the
+public constructor ends in, returns one object per entries tuple, kept in
+the module-level dict _INTERN. So splits2, __add__, __sub__ and delta hand
+back shared objects, memo keys hold no duplicate index objects, and a dict
+hit on an index key is decided by identity before any __eq__ runs. The
+dict grows only with the distinct indices a process builds; nothing is
+evicted.
 """
 
 from __future__ import annotations
@@ -23,12 +31,17 @@ from math import comb, factorial
 from typing import Iterable, Iterator
 
 
+_INTERN: dict[tuple[tuple[int, int], ...], "MultiIndex"] = {}
+
+
 class MultiIndex:
     """Immutable finitely-supported map from positive indices to counts."""
 
     __slots__ = ("_entries", "_weight", "_length", "_hash")
 
-    def __init__(self, source: Iterable[tuple[int, int]] | dict[int, int] = ()):
+    def __new__(
+        cls, source: Iterable[tuple[int, int]] | dict[int, int] = ()
+    ) -> "MultiIndex":
         if isinstance(source, dict):
             items = source.items()
         else:
@@ -42,22 +55,23 @@ class MultiIndex:
             if m:
                 merged[i] = merged.get(i, 0) + m
         entries = tuple(sorted(merged.items()))
-        self._entries = entries
-        self._weight = sum(i * m for i, m in entries)
-        self._length = sum(m for _, m in entries)
-        self._hash = hash(entries)
+        return cls._raw(
+            entries, sum(i * m for i, m in entries), sum(m for _, m in entries)
+        )
 
     @classmethod
     def _raw(
         cls, entries: tuple[tuple[int, int], ...], weight: int, length: int
     ) -> "MultiIndex":
-        """Trusted constructor: entries already sorted, positive, merged,
-        with their weight and length already summed by the caller."""
-        self = object.__new__(cls)
-        self._entries = entries
-        self._weight = weight
-        self._length = length
-        self._hash = hash(entries)
+        """Trusted, interning constructor: entries already sorted, positive,
+        merged, with their weight and length already summed by the caller."""
+        self = _INTERN.get(entries)
+        if self is None:
+            self = _INTERN[entries] = object.__new__(cls)
+            self._entries = entries
+            self._weight = weight
+            self._length = length
+            self._hash = hash(entries)
         return self
 
     @property
@@ -99,6 +113,11 @@ class MultiIndex:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # copy and pickle must come back through the interning constructor,
+        # not fill in the slots of whatever MultiIndex() returns.
+        return MultiIndex, (self._entries,)
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         if not other._entries:
@@ -150,10 +169,11 @@ class MultiIndex:
             return ZERO
         pairs = []
         for chunk in text.split(","):
-            i_text, sep, m_text = chunk.partition(":")
-            if not sep:
-                raise ValueError(f"bad multi-index entry {chunk!r}")
-            pairs.append((int(i_text), int(m_text)))
+            try:
+                i_text, m_text = chunk.split(":")
+                pairs.append((int(i_text), int(m_text)))
+            except ValueError:
+                raise ValueError(f"bad multi-index entry {chunk!r}") from None
         return cls(pairs)
 
     def __repr__(self) -> str:

@@ -74,6 +74,23 @@ def test_parse_errors_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, chunk",
+    [
+        (("compute", "-g", "2", "--kappa", "1:x"), "1:x"),
+        (("compute", "-g", "2", "--kappa", "x:1"), "x:1"),
+        (("compute", "-g", "2", "--kappa", "1"), "1"),
+        (("volume", "-g", "2", "-n", "0", "--kappa", "3:1:1"), "3:1:1"),
+        (("volume", "-g", "2", "-n", "0", "--kappa", "1:1,,2:1"), ""),
+        (("hodge", "-g", "2", "--tag", "lambda_g", "--kappa", "1:"), "1:"),
+    ],
+)
+def test_bad_kappa_entry_is_named(capsys, argv, chunk):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"wprec: bad multi-index entry {chunk!r}\n"
+
+
 def test_volume_command(capsys):
     code, out, _ = run(capsys, "volume", "-g", "0", "-n", "4", "--kappa", "1:1")
     assert code == 0 and out.strip() == "1"

@@ -183,10 +183,42 @@ def test_dilaton_identity(engine):
     assert report.equal and report.lhs == Fraction(1, 24)
 
 
-def test_corrupted_alpha_breaks_oracle_agreement():
+def _broken_alpha():
+    """An alpha table whose entry at delta(1), and every entry solved from
+    it later, is off by the corruption."""
     table = ConstantTable("alpha", lambda w: double_factorial(2 * w + 1))
     table.value(delta(1))
     table._values[delta(1)] += 1
-    broken = CorrelatorEngine(alpha_table=table)
+    return table
+
+
+def test_corrupted_alpha_breaks_oracle_agreement():
+    broken = CorrelatorEngine(alpha_table=_broken_alpha())
     # The seed path bypasses alpha, so probe a derived mixed value.
     assert broken.correlator(0, delta(1), (0, 0, 0, 0)) != 1
+
+
+def test_bracket_table_is_per_engine():
+    """Brackets hold sub-values, which depend on the alpha table, so each
+    engine fills its own: a broken engine after a good one neither reads
+    nor writes the good brackets."""
+    kappa = MultiIndex({1: 3})
+    want = Fraction(43, 2880)
+    good = CorrelatorEngine()
+    assert good.correlator(2, kappa) == want
+    broken = CorrelatorEngine(alpha_table=_broken_alpha())
+    assert broken.correlator(2, kappa) != want
+    assert broken.brackets != good.brackets
+    assert CorrelatorEngine().correlator(2, kappa) == want
+
+
+def test_bracket_table_does_not_depend_on_evaluation_order():
+    signatures = list(correlator_signatures(7))
+    forward, backward = CorrelatorEngine(), CorrelatorEngine()
+    for sig in signatures:
+        forward.correlator(*sig)
+    for sig in reversed(signatures):
+        backward.correlator(*sig)
+    assert forward.brackets == backward.brackets
+    assert forward.memo == backward.memo
+    assert forward.brackets

@@ -5,6 +5,8 @@ prod(m+1) for two-way splits, 2^n for subsets, a plain partition-count
 recurrence for indices_of_weight.
 """
 
+import copy
+import pickle
 from math import factorial, prod
 
 import pytest
@@ -51,6 +53,31 @@ def test_ordering_and_hash():
     assert a < c
     assert a != (1, 2)
     assert sorted({a, b, c}) == [a, c]
+
+
+def test_indices_are_interned():
+    """One object per entries tuple, whichever constructor built it."""
+    assert delta(3) is delta(3)
+    for b in indices_of_weight(6):
+        seen = {}
+        for left, right, _ in splits2(b):
+            for side in (left, right):
+                assert seen.setdefault(side.entries, side) is side
+    a = MultiIndex({1: 1, 3: 2})
+    b = delta(1)
+    total = a + b
+    assert total is MultiIndex({1: 2, 3: 2})
+    assert total - b is a
+    assert total - a is b
+    public = MultiIndex({2: 1, 1: 3})
+    trusted = MultiIndex._raw(((1, 3), (2, 1)), 5, 4)
+    assert public == trusted and hash(public) == hash(trusted)
+    assert public is trusted
+    assert MultiIndex(()) is ZERO
+    # Copies come back interned and leave ZERO alone.
+    assert copy.copy(public) is public
+    assert pickle.loads(pickle.dumps(public)) is public
+    assert ZERO.entries == () and ZERO.weight == 0
 
 
 def test_arithmetic():
