@@ -6,7 +6,7 @@ Subcommands:
 * ``volume``: one intersection volume, open (n >= 1) or closed (n = 0).
 * ``hodge``: one pairing against the top Hodge weightings.
 * ``table``: constant or volume tables as csv (default) or json.
-* ``verify``: a named consistency sweep; exits 1 on the first mismatch.
+* ``verify``: named consistency sweeps; exits 1 when any finds a mismatch.
 
 Values print as exact fractions.  ``--decimal N`` switches the printed
 value to an N-place decimal rendering; ``--json`` wraps the result with
@@ -20,6 +20,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cache import default_cache_path, load_cache, save_new_records, seed_engine
 from .constants import ALPHA, GAMMA_FACT, GAMMA_ODD
@@ -50,6 +51,7 @@ from .sweeps import (
     kdv_cases,
     pairing_reduction_cases,
     rshift_cases,
+    run_cases,
     volume_signatures,
 )
 from .volumes import VolumeEngine
@@ -201,7 +203,9 @@ _TABLE_OPTIONS = dict.fromkeys(d for reads in _TABLE_SIZES.values() for d in rea
 
 def _cmd_table(args: argparse.Namespace) -> int:
     kind = "constants" if args.constants else "volumes"
-    _read_options(args, f"the {kind} table", _TABLE_SIZES[kind], _TABLE_OPTIONS)
+    (sizes,) = _read_options(
+        args, f"the {kind} table", [_TABLE_SIZES[kind]], _TABLE_OPTIONS
+    )
     if args.constants:
         table = {
             "alpha": ALPHA,
@@ -211,7 +215,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         header = ("weight", "kappa", "value")
         rows = [
             (w, b.to_text(), str(table.value(b)))
-            for w in range(args.max_weight + 1)
+            for w in range(sizes.max_weight + 1)
             for b in indices_of_weight(w)
         ]
     else:
@@ -220,8 +224,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         # An unstable (g, n) has dimension -1, which no kappa index fills.
         rows = [
             (genus, n, b.to_text(), str(volumes.volume(genus, n, b)))
-            for genus in range(args.max_genus + 1)
-            for n in range(args.max_n + 1)
+            for genus in range(sizes.max_genus + 1)
+            for n in range(sizes.max_n + 1)
             for b in indices_of_weight(moduli_dim(genus, n))
         ]
     if args.json:
@@ -239,90 +243,81 @@ def _signature_text(genus: int, kappa: MultiIndex, psi) -> str:
     return CorrelatorKey.make(genus, kappa, psi).text()
 
 
-# A sweep case is (name, lhs, rhs, sides): the values two routes give for
-# one signature, and the labels that name those routes in a FAIL line.
+class _Engines(NamedTuple):
+    """The engines of one verify run, shared by every suite it runs."""
+
+    correlator: CorrelatorEngine
+    kmz: KmzOracle
+    volumes: VolumeEngine
+    hodge: HodgeEngine
+
+
+# The sides of an identity case: both values come from the same engine.
 _IDENTITY = ("", "")
 
 
 def _sweep(cases, positive: bool = False):
-    """Suite runner: count the cases and stop at the first mismatch."""
-
-    def run(args: argparse.Namespace):
-        count = 0
-        for count, (name, lhs, rhs, (left, right)) in enumerate(
-            cases(args), start=1
-        ):
-            if lhs != rhs:
-                return False, count, f"{name}: {left}{lhs} != {right}{rhs}"
-            if positive and lhs <= 0:
-                return False, count, f"{name}: expected a positive value, got {lhs}"
-        return True, count, None
-
-    return run
+    """A suite that runs its case stream through the suite runner."""
+    return lambda engines, sizes: run_cases(cases(engines, sizes), positive)
 
 
-def _oracle_cases(args: argparse.Namespace):
-    engine = CorrelatorEngine()
-    oracle = KmzOracle()
-    for genus, kappa, psi in correlator_signatures(args.max_dim):
+def _oracle_cases(engines: _Engines, sizes: argparse.Namespace):
+    for genus, kappa, psi in correlator_signatures(sizes.max_dim):
         yield (
             _signature_text(genus, kappa, psi),
-            engine.correlator(genus, kappa, psi),
-            oracle.kmz_expand(genus, kappa, psi),
+            engines.correlator.correlator(genus, kappa, psi),
+            engines.kmz.kmz_expand(genus, kappa, psi),
             ("engine ", "expansion "),
         )
 
 
-def _identity_cases(check, signatures):
-    engine = CorrelatorEngine()
+def _identity_cases(check, engines: _Engines, signatures):
     for genus, kappa, psi in signatures:
-        report = check(engine, genus, kappa, psi)
+        report = check(engines.correlator, genus, kappa, psi)
         yield _signature_text(genus, kappa, psi), report.lhs, report.rhs, _IDENTITY
 
 
-def _transfer_cases(args: argparse.Namespace):
+def _transfer_cases(engines: _Engines, sizes: argparse.Namespace):
     signatures = (
         sig
-        for sig in correlator_signatures(args.max_dim, min_n=1)
+        for sig in correlator_signatures(sizes.max_dim, min_n=1)
         if CorrelatorKey.make(*sig) not in INITIAL_VALUES
     )
-    return _identity_cases(check_transfer_identity, signatures)
+    return _identity_cases(check_transfer_identity, engines, signatures)
 
 
-def _string_cases(args: argparse.Namespace):
-    signatures = correlator_signatures(args.max_dim, min_n=0, shell=1)
-    return _identity_cases(check_string_identity, signatures)
+def _string_cases(engines: _Engines, sizes: argparse.Namespace):
+    signatures = correlator_signatures(sizes.max_dim, min_n=0, shell=1)
+    return _identity_cases(check_string_identity, engines, signatures)
 
 
-def _dilaton_cases(args: argparse.Namespace):
-    signatures = correlator_signatures(args.max_dim, min_n=0)
-    return _identity_cases(check_dilaton_identity, signatures)
+def _dilaton_cases(engines: _Engines, sizes: argparse.Namespace):
+    signatures = correlator_signatures(sizes.max_dim, min_n=0)
+    return _identity_cases(check_dilaton_identity, engines, signatures)
 
 
-def _kdv_cases(args: argparse.Namespace):
-    return _identity_cases(check_kdv_identity, kdv_cases(args.max_dim))
+def _kdv_cases(engines: _Engines, sizes: argparse.Namespace):
+    return _identity_cases(check_kdv_identity, engines, kdv_cases(sizes.max_dim))
 
 
-def _rshift_cases(args: argparse.Namespace):
-    engine = CorrelatorEngine()
-    for genus, kappa, psi, r in rshift_cases(args.max_dim):
-        report = check_shift_identity(engine, genus, kappa, psi, r)
+def _rshift_cases(engines: _Engines, sizes: argparse.Namespace):
+    for genus, kappa, psi, r in rshift_cases(sizes.max_dim):
+        report = check_shift_identity(engines.correlator, genus, kappa, psi, r)
         name = f"{_signature_text(genus, kappa, psi)} (r={r})"
         yield name, report.lhs, report.rhs, _IDENTITY
 
 
-def _volume_cases(args: argparse.Namespace):
-    volumes = VolumeEngine()
-    engine = CorrelatorEngine()
+def _volume_cases(engines: _Engines, sizes: argparse.Namespace):
+    volumes, engine = engines.volumes, engines.correlator
     sides = ("volume ", "correlator ")
-    for genus, n, kappa in volume_signatures(args.max_dim):
+    for genus, n, kappa in volume_signatures(sizes.max_dim):
         yield (
             f"V_{{{genus},{n}}}({kappa.to_text() or '1'})",
             volumes.volume(genus, n, kappa),
             engine.correlator(genus, kappa, (0,) * n),
             sides,
         )
-    for genus in range(2, (args.max_dim + 3) // 3 + 1):
+    for genus in range(2, (sizes.max_dim + 3) // 3 + 1):
         for kappa in indices_of_weight(3 * genus - 3):
             yield (
                 f"V_{{{genus}}}({kappa.to_text()})",
@@ -332,56 +327,46 @@ def _volume_cases(args: argparse.Namespace):
             )
 
 
-def _hodge_cases(args: argparse.Namespace):
-    provider = FileBaseValues(args.provider) if args.provider else None
-    engine = HodgeEngine(provider)
-    for genus, tag, kappa, psi in hodge_signatures(args.max_genus):
+def _hodge_cases(engines: _Engines, sizes: argparse.Namespace):
+    engine = engines.hodge
+    for genus, tag, kappa, psi in hodge_signatures(sizes.max_genus):
         yield (
             f"{_signature_text(genus, kappa, psi)}|{tag}",
             engine.correlator(genus, tag, kappa, psi),
             engine.correlator_direct(genus, tag, kappa, psi),
             ("expansion ", "direct "),
         )
-    for genus, tag, d, d0, rest in pairing_reduction_cases(args.max_genus):
+    for genus, tag, d, d0, rest in pairing_reduction_cases(sizes.max_genus):
         report = check_pairing_reduction(engine, genus, tag, d, d0, rest)
         name = f"g={genus} {tag} d={d} d0={d0} rest={rest}"
         yield name, report.lhs, report.rhs, _IDENTITY
 
 
-def _run_shift(args: argparse.Namespace):
-    t_vars = args.cutoff + 1 if args.t_vars is None else args.t_vars
-    report = shift_check(
-        args.cutoff, args.s_vars, t_vars, CorrelatorEngine(), KmzOracle()
-    )
-    if report.equal:
-        return True, report.cases, None
-    key, mixed, shifted = report.mismatch
-    return (
-        False,
-        report.cases,
-        f"monomial {key}: mixed {mixed} != shifted pure {shifted}",
+def _shift(engines: _Engines, sizes: argparse.Namespace):
+    t_vars = sizes.cutoff + 1 if sizes.t_vars is None else sizes.t_vars
+    return shift_check(
+        sizes.cutoff, sizes.s_vars, t_vars, engines.correlator, engines.kmz
     )
 
 
-def _cache_cases(args: argparse.Namespace):
-    """Every cached record, in key order, against a fresh engine."""
-    path = args.cache or default_cache_path()
+def _cache_cases(engines: _Engines, sizes: argparse.Namespace):
+    """Every cached record, in key order, against the run's unseeded engine."""
+    path = sizes.cache or default_cache_path()
     if not path:
         raise ValueError("cache suite needs --cache PATH or WPREC_CACHE")
     records = load_cache(path)
-    engine = CorrelatorEngine()
     for key in sorted(records):
         yield (
             key.text(),
             records[key],
-            engine.correlator(key.genus, key.kappa, key.psi),
+            engines.correlator.correlator(key.genus, key.kappa, key.psi),
             ("cached ", "recomputed "),
         )
 
 
-# name: (defaults, runner(args) -> (ok, cases, detail)). The defaults map
-# each verify option the suite reads to its value when not given; every
-# other verify option is refused for the suite.
+# name: (defaults, run(engines, sizes) -> Report). The defaults map each
+# verify option the suite reads to its value when not given; an option that
+# no suite of the run reads is refused. Suites run in this order.
 SUITES = {
     "oracle": ({"max_dim": 7}, _sweep(_oracle_cases, positive=True)),
     "transfer": ({"max_dim": 6}, _sweep(_transfer_cases)),
@@ -390,7 +375,7 @@ SUITES = {
     "kdv": ({"max_dim": 6}, _sweep(_kdv_cases)),
     "rshift": ({"max_dim": 6}, _sweep(_rshift_cases)),
     "volume": ({"max_dim": 7}, _sweep(_volume_cases)),
-    "shift": ({"cutoff": 6, "s_vars": 3, "t_vars": None}, _run_shift),
+    "shift": ({"cutoff": 6, "s_vars": 3, "t_vars": None}, _shift),
     "hodge": ({"max_genus": 3, "provider": None}, _sweep(_hodge_cases)),
     "cache": ({"cache": None}, _sweep(_cache_cases)),
 }
@@ -402,40 +387,48 @@ def _flags(dests) -> str:
     return ", ".join("--" + dest.replace("_", "-") for dest in dests)
 
 
-def _read_options(args: argparse.Namespace, reader: str, defaults, options) -> None:
-    """Give each option in defaults its default when not given; refuse any
-    other of options that was given, so no size is silently ignored."""
-    refused = [
-        dest
-        for dest in options
-        if dest not in defaults and getattr(args, dest) is not None
-    ]
+def _read_options(
+    args: argparse.Namespace, reader: str, readers, options
+) -> list[argparse.Namespace]:
+    """Each of readers' options as given, or else that reader's default.
+    Refuse any of options that was given but that no reader reads, so no
+    size is silently ignored."""
+    given = {dest: getattr(args, dest) for dest in options}
+    reads = [dest for dest in options if any(dest in r for r in readers)]
+    refused = [d for d in options if d not in reads and given[d] is not None]
     if refused:
         raise ValueError(
-            f"{reader} does not read {_flags(refused)}; it reads {_flags(defaults)}"
+            f"{reader} does not read {_flags(refused)}; it reads {_flags(reads)}"
         )
-    for dest, value in defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+    return [
+        argparse.Namespace(
+            **{d: v if given[d] is None else given[d] for d, v in defaults.items()}
+        )
+        for defaults in readers
+    ]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    picked = [args.suite] if args.suite else []
-    if args.oracle:
-        picked.append("oracle")
-    if args.shift:
-        picked.append("shift")
-    names = sorted(set(picked))
-    if len(names) != 1:
-        raise ValueError("choose exactly one suite (--suite NAME)")
-    defaults, run = SUITES[names[0]]
-    _read_options(args, f"the {names[0]} suite", defaults, _VERIFY_OPTIONS)
-    ok, cases, detail = run(args)
-    if ok:
-        print(f"PASS ({cases} cases)")
-        return 0
-    print(f"FAIL after {cases} cases: {detail}")
-    return 1
+    names = [name for name in SUITES if name in (args.suite or ())]
+    if not names:
+        raise ValueError("choose a suite (--suite NAME)")
+    several = f"the run of the {', '.join(names)} suites"
+    reader = several if len(names) > 1 else f"the {names[0]} suite"
+    readers = [SUITES[name][0] for name in names]
+    sizes = _read_options(args, reader, readers, _VERIFY_OPTIONS)
+    provider = FileBaseValues(args.provider) if args.provider else None
+    engines = _Engines(
+        CorrelatorEngine(), KmzOracle(), VolumeEngine(), HodgeEngine(provider)
+    )
+    code = 0
+    for name, suite_sizes in zip(names, sizes):
+        ok, cases, detail = SUITES[name][1](engines, suite_sizes)
+        if ok:
+            print(f"PASS ({cases} cases)")
+        else:
+            print(f"FAIL after {cases} cases: {detail}")
+            code = 1
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -519,14 +512,16 @@ def _build_parser() -> argparse.ArgumentParser:
     form.add_argument("--json", action="store_true")
     table.set_defaults(func=_cmd_table)
 
-    verify = sub.add_parser("verify", help="run a consistency sweep")
-    verify.add_argument("--suite", choices=tuple(SUITES))
-    verify.add_argument(
-        "--oracle", action="store_true", help="shorthand for --suite oracle"
-    )
-    verify.add_argument(
-        "--shift", action="store_true", help="shorthand for --suite shift"
-    )
+    verify = sub.add_parser("verify", help="run consistency sweeps")
+    verify.add_argument("--suite", action="append", choices=tuple(SUITES))
+    for name in ("oracle", "shift"):
+        verify.add_argument(
+            f"--{name}",
+            action="append_const",
+            const=name,
+            dest="suite",
+            help=f"shorthand for --suite {name}",
+        )
     verify.add_argument("--max-dim", type=_size)
     verify.add_argument("--cutoff", type=_size)
     verify.add_argument("--s-vars", type=_size)

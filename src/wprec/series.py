@@ -24,13 +24,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple
 
 from .constants import shift_polynomial
 from .correlator import CorrelatorEngine
 from .kmz import KmzOracle
 from .multiindex import ZERO, MultiIndex
-from .sweeps import correlator_signatures, psi_lists, stable_windows
+from .sweeps import Report, correlator_signatures, psi_lists, run_cases, stable_windows
 
 MonomialKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -176,17 +175,6 @@ class TruncatedSeries:
                     total.pop(key, None)
         return self._like(total)
 
-    def first_mismatch(
-        self, other: "TruncatedSeries"
-    ) -> tuple[MonomialKey, Fraction, Fraction] | None:
-        self._check_compatible(other)
-        for key in sorted(set(self.coeffs) | set(other.coeffs)):
-            mine = self.coeffs.get(key, Fraction(0))
-            theirs = other.coeffs.get(key, Fraction(0))
-            if mine != theirs:
-                return key, mine, theirs
-        return None
-
     def __repr__(self) -> str:
         return (
             f"TruncatedSeries(cutoff={self.cutoff}, s_vars={self.s_vars},"
@@ -234,16 +222,6 @@ def build_mixed_series(
     return TruncatedSeries(cutoff, s_vars, t_vars, coeffs)
 
 
-class ShiftReport(NamedTuple):
-    """Outcome of shift_check: cases is the number of monomials compared, or
-    the 1-based position of the mismatch (key, mixed, shifted) in sorted order.
-    """
-
-    equal: bool
-    cases: int
-    mismatch: tuple[MonomialKey, Fraction, Fraction] | None
-
-
 def canonical_shifts(
     cutoff: int, s_vars: int, t_vars: int
 ) -> dict[int, TruncatedSeries]:
@@ -274,8 +252,9 @@ def shift_check(
     t_vars: int,
     engine: CorrelatorEngine,
     oracle: KmzOracle,
-) -> ShiftReport:
-    """Mixed series versus shift-substituted pure series, coefficientwise.
+) -> Report:
+    """Mixed series versus shift-substituted pure series, coefficientwise,
+    one case per monomial in sorted order.
 
     The pure series is built internally at twice the cutoff so the
     weight-lowering substitution is exact for every surviving coefficient.
@@ -289,12 +268,12 @@ def shift_check(
             f"the shift check at cutoff {cutoff} with kappa variables"
             f" needs t_vars >= {cutoff + 1}, got {t_vars}"
         )
-    mixed = build_mixed_series(cutoff, s_vars, t_vars, engine)
+    mixed = build_mixed_series(cutoff, s_vars, t_vars, engine).coeffs
     source = build_psi_series(2 * cutoff, s_vars, t_vars, oracle)
     shifts = canonical_shifts(2 * cutoff, s_vars, t_vars)
-    substituted = source.substitute_t(shifts).truncated(cutoff)
-    keys = sorted(set(mixed.coeffs) | set(substituted.coeffs))
-    mismatch = mixed.first_mismatch(substituted)
-    if mismatch is None:
-        return ShiftReport(True, len(keys), None)
-    return ShiftReport(False, keys.index(mismatch[0]) + 1, mismatch)
+    shifted = source.substitute_t(shifts).truncated(cutoff).coeffs
+    sides = ("mixed ", "shifted pure ")
+    return run_cases(
+        (f"monomial {key}", mixed.get(key, 0), shifted.get(key, 0), sides)
+        for key in sorted(set(mixed) | set(shifted))
+    )

@@ -1,4 +1,5 @@
-"""Deterministic signature sweeps shared by the verify suites and tests.
+"""Deterministic signature sweeps shared by the verify suites and tests,
+and the one runner every suite's cases go through.
 
 Each generator enumerates exactly the stable signatures in a bounded
 window, ordered reproducibly (genus, then point count, then kappa weight).
@@ -9,7 +10,7 @@ termwise and would only pad the case counts.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .hodge import LAMBDA_G, LAMBDA_G_GM1, pairing_degree
 from .multiindex import MultiIndex, indices_of_weight, partitions
@@ -132,3 +133,27 @@ def pairing_reduction_cases(
                         for rest in partitions(leftover):
                             if len(rest) == extra:
                                 yield genus, tag, d, d0, rest
+
+
+class Report(NamedTuple):
+    """Outcome of a suite: cases is the number of cases compared, or the
+    1-based position of the first mismatch, which detail then names."""
+
+    equal: bool
+    cases: int
+    detail: str | None
+
+
+def run_cases(cases: Iterable[tuple], positive: bool = False) -> Report:
+    """Suite runner over cases (name, lhs, rhs, sides): the values two routes
+    give for one signature, and the labels that name those routes in a FAIL
+    detail. Stops at the first mismatch, or with positive at the first lhs
+    that is not positive."""
+    count = 0
+    for count, (name, lhs, rhs, (left, right)) in enumerate(cases, start=1):
+        if lhs != rhs:
+            return Report(False, count, f"{name}: {left}{lhs} != {right}{rhs}")
+        if positive and lhs <= 0:
+            detail = f"{name}: expected a positive value, got {lhs}"
+            return Report(False, count, detail)
+    return Report(True, count, None)

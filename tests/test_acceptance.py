@@ -31,8 +31,8 @@ from wprec.volumes import (
     check_expanded_volume,
 )
 
-# The verify suites that check each criterion, with the exact case count
-# each one prints.
+# The verify suites that check each criterion, in SUITES order, with the
+# exact case count each one prints.
 CRITERION_SUITES = {
     4: [(("oracle", "--max-dim", "9"), 2521)],
     5: [(("transfer",), 371)],
@@ -45,13 +45,17 @@ CRITERION_SUITES = {
 
 
 def _suites(capsys, number: int) -> int:
-    """Run the suites of one criterion; return their total case count."""
-    cases = 0
-    for (suite, *sizes), count in CRITERION_SUITES[number]:
-        result = run(capsys, "verify", "--suite", suite, *sizes)
-        assert result == (0, f"PASS ({count} cases)\n", ""), suite
-        cases += count
-    return cases
+    """Run the suites of one criterion in one verify call; return their
+    total case count."""
+    argv = [
+        arg
+        for (suite, *sizes), _ in CRITERION_SUITES[number]
+        for arg in ("--suite", suite, *sizes)
+    ]
+    counts = [count for _, count in CRITERION_SUITES[number]]
+    out = "".join(f"PASS ({count} cases)\n" for count in counts)
+    assert run(capsys, "verify", *argv) == (0, out, "")
+    return sum(counts)
 
 
 @pytest.fixture(scope="module")

@@ -152,11 +152,33 @@ def test_table_volumes(capsys):
     assert not any(r[:2] == ["1", "0"] for r in rows[1:])
 
 
-def test_verify_needs_exactly_one_suite(capsys):
-    code, _, err = run(capsys, "verify")
-    assert code == 2 and "exactly one suite" in err
-    code, _, err = run(capsys, "verify", "--suite", "oracle", "--shift")
-    assert code == 2 and "exactly one suite" in err
+def test_verify_needs_a_suite_and_runs_every_named_one(capsys):
+    assert run(capsys, "verify") == (2, "", "wprec: choose a suite (--suite NAME)\n")
+    sizes = ("--max-dim", "1", "--cutoff", "2", "--s-vars", "1")
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--shift", *sizes)
+    assert (code, err) == (0, "")
+    assert out == "PASS (5 cases)\nPASS (13 cases)\n"
+
+
+@pytest.mark.parametrize(
+    "suites",
+    [
+        (("--suite", "oracle"), ("--suite", "volume")),
+        (("--oracle",), ("--suite", "volume")),
+    ],
+)
+def test_verify_runs_several_suites_in_suite_order(capsys, suites):
+    # Each suite prints what it prints alone, in SUITES order, whatever the
+    # order on the command line.
+    alone = [
+        run(capsys, "verify", "--suite", name, "--max-dim", "4")
+        for name in ("oracle", "volume")
+    ]
+    assert alone == [(0, "PASS (87 cases)\n", ""), (0, "PASS (31 cases)\n", "")]
+    joined = (0, alone[0][1] + alone[1][1], "")
+    for order in (suites, suites[::-1]):
+        argv = [arg for suite in order for arg in suite]
+        assert run(capsys, "verify", *argv, "--max-dim", "4") == joined
 
 
 def test_cache_workflow(capsys, tmp_path, monkeypatch):
@@ -229,6 +251,9 @@ def test_verify_fail_line_names_first_mismatch(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-dim", "1")
     assert code == 1
     assert out == "FAIL after 1 cases: 0||0,0,0: engine 1 != expansion 2\n"
+    # A failing suite does not stop the next one; the run exits 1.
+    argv = ("verify", "--oracle", "--suite", "volume", "--max-dim", "1")
+    assert run(capsys, *argv) == (1, out + "PASS (3 cases)\n", "")
 
 
 def test_verify_shift_refuses_too_few_t_vars(capsys):

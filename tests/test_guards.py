@@ -1,5 +1,5 @@
 """Inputs that must fail cleanly: poisoned cache seeds, undecodable cache
-and provider bytes, verify options a suite does not read, malformed Hodge
+and provider bytes, verify options no named suite reads, malformed Hodge
 provider lines, signatures deeper than the recursion limit, and negative
 exponents in the unordered descendant expansion."""
 
@@ -62,6 +62,29 @@ def test_verify_refuses_options_the_suite_does_not_read(
     assert code == 2 and out == ""
     assert err == (
         f"wprec: the {suite} suite does not read {refused}; it reads {reads}\n"
+    )
+
+
+def test_verify_run_refuses_only_options_no_named_suite_reads(capsys):
+    argv = ("verify", "--suite", "volume", "--suite", "oracle", "--max-dim", "1")
+    assert run(capsys, *argv, "--cutoff", "2") == (
+        2,
+        "",
+        "wprec: the run of the oracle, volume suites does not read --cutoff;"
+        " it reads --max-dim\n",
+    )
+    # Each suite takes a size that only the other reads.
+    argv = ("verify", "--suite", "oracle", "--suite", "hodge", "--max-dim", "1")
+    assert run(capsys, *argv, "--max-genus", "1") == (
+        0,
+        "PASS (5 cases)\nPASS (32 cases)\n",
+        "",
+    )
+    # With no size given, each suite takes its own default: 7 and 6.
+    assert run(capsys, "verify", "--suite", "oracle", "--suite", "kdv") == (
+        0,
+        "PASS (741 cases)\nPASS (166 cases)\n",
+        "",
     )
 
 

@@ -1,5 +1,6 @@
 """Truncated series algebra and the kappa-to-shift consistency check."""
 
+import ast
 from fractions import Fraction
 
 import pytest
@@ -71,8 +72,6 @@ def test_incompatible_algebras():
     b = TruncatedSeries.constant(1, 3, 2, 2)
     with pytest.raises(ValueError):
         a * b
-    with pytest.raises(ValueError):
-        a.first_mismatch(b)
 
 
 def test_truncated_lowers_the_cutoff():
@@ -95,13 +94,23 @@ def test_generating_series_coefficients(engine, oracle):
     assert {k: v for k, v in G.coeffs.items() if not any(k[0])} == F.coeffs
 
 
-def test_first_mismatch():
-    a = _series(3, 1, 1, [((0,), (1, 0), 2), ((1,), (0, 0), 5)])
-    b = _series(3, 1, 1, [((0,), (1, 0), 2)])
-    assert a.first_mismatch(TruncatedSeries(3, 1, 1, dict(a.coeffs))) is None
-    key, mine, theirs = a.first_mismatch(b)
-    assert key == ((1,), (0, 0))
-    assert mine == 5 and theirs == 0
+def test_shift_check_reports_a_missing_monomial_as_zero(engine, oracle, monkeypatch):
+    # A monomial on one side only compares against 0, at its position in
+    # the sorted union of both sides' monomials.
+    real = build_mixed_series(3, 2, 4, engine)
+    key = sorted(real.coeffs)[2]
+    value = real.coeffs[key]
+
+    def dropped(*args):
+        kept = {k: v for k, v in real.coeffs.items() if k != key}
+        return TruncatedSeries(3, 2, 4, kept)
+
+    monkeypatch.setattr("wprec.series.build_mixed_series", dropped)
+    assert shift_check(3, 2, 4, engine, oracle) == (
+        False,
+        3,
+        f"monomial {key}: mixed 0 != shifted pure {value}",
+    )
 
 
 def test_substitution_is_a_homomorphism():
@@ -124,17 +133,17 @@ def test_substitution_is_a_homomorphism():
     )
     lhs = _plus(f, g).substitute_t(sigma)
     rhs = _plus(f.substitute_t(sigma), g.substitute_t(sigma))
-    assert lhs.first_mismatch(rhs) is None
+    assert lhs.coeffs == rhs.coeffs
     lhs = (f * g).substitute_t(sigma)
     rhs = f.substitute_t(sigma) * g.substitute_t(sigma)
-    assert lhs.first_mismatch(rhs) is None
+    assert lhs.coeffs == rhs.coeffs
     with pytest.raises(ValueError):
         f.substitute_t({5: t2})
 
 
 def test_shift_check_small(engine, oracle):
     report = shift_check(3, 2, 4, engine, oracle)
-    assert report.equal, report.mismatch
+    assert report.equal, report.detail
     assert report.cases > 10
     report = shift_check(0, 1, 2, engine, oracle)
     assert report.equal
@@ -165,7 +174,8 @@ def test_corrupted_shift_detected(engine, oracle, monkeypatch):
     monkeypatch.setattr("wprec.series.canonical_shifts", corrupted)
     report = shift_check(3, 2, 4, engine, oracle)
     assert not report.equal
-    (se, _), _, _ = report.mismatch
+    key = report.detail.split(": ")[0].removeprefix("monomial ")
+    (se, _) = ast.literal_eval(key)
     assert se[0] >= 1
 
 
