@@ -244,12 +244,14 @@ def _signature_text(genus: int, kappa: MultiIndex, psi) -> str:
 
 
 class _Engines(NamedTuple):
-    """The engines of one verify run, shared by every suite it runs."""
+    """The engines of one verify run, shared by every suite it runs, and the
+    records of the cache file it checks, read before the first suite."""
 
     correlator: CorrelatorEngine
     kmz: KmzOracle
     volumes: VolumeEngine
     hodge: HodgeEngine
+    cache_records: dict[CorrelatorKey, Fraction] | None
 
 
 # The sides of an identity case: both values come from the same engine.
@@ -351,10 +353,7 @@ def _shift(engines: _Engines, sizes: argparse.Namespace):
 
 def _cache_cases(engines: _Engines, sizes: argparse.Namespace):
     """Every cached record, in key order, against the run's unseeded engine."""
-    path = sizes.cache or default_cache_path()
-    if not path:
-        raise ValueError("cache suite needs --cache PATH or WPREC_CACHE")
-    records = load_cache(path)
+    records = engines.cache_records
     for key in sorted(records):
         yield (
             key.text(),
@@ -417,8 +416,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     readers = [SUITES[name][0] for name in names]
     sizes = _read_options(args, reader, readers, _VERIFY_OPTIONS)
     provider = FileBaseValues(args.provider) if args.provider else None
+    records = None
+    if "cache" in names:
+        path = args.cache or default_cache_path()
+        if not path:
+            raise ValueError("cache suite needs --cache PATH or WPREC_CACHE")
+        records = load_cache(path)
     engines = _Engines(
-        CorrelatorEngine(), KmzOracle(), VolumeEngine(), HodgeEngine(provider)
+        CorrelatorEngine(),
+        KmzOracle(),
+        VolumeEngine(),
+        HodgeEngine(provider),
+        records,
     )
     code = 0
     for name, suite_sizes in zip(names, sizes):

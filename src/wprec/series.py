@@ -9,12 +9,13 @@ being built out of finitely many terms.
 The headline consistency statement: the mixed series (coefficients are
 correlators divided by the factorials of their exponent patterns) equals
 the pure-descendant series with every t_k (k >= 2) shifted by a fixed
-polynomial in the s variables of weight k - 1. Because the shift lowers
-weight, coefficients of the target up to weight W draw on source terms up
-to weight 2W exactly (the worst case replaces every factor of t_2^W), so
-the check builds the pure series at doubled cutoff, substitutes there
-(where no truncation can bite: term weights only grow as a product
-accumulates factors), then truncates down for the comparison.
+polynomial in the s variables of weight k - 1. The shift lowers weight by
+at most one per shifted factor, so a source term of weight w with m
+factors t_k (k >= 2) lands no lower than w - m: the check builds only the
+pure terms with w - m <= W, all of weight at most 2W, and substitutes them
+into the algebra at the target cutoff W. Truncating every product there
+is exact, because weights are nonnegative and add under multiplication,
+so a partial product above W never comes back down.
 
 Both series walk the stable signatures of ``sweeps``, the enumeration the
 verify suites use, keeping those whose variables the algebra has.
@@ -125,55 +126,56 @@ class TruncatedSeries:
                 base = base * base
         return result
 
-    def truncated(self, cutoff: int) -> "TruncatedSeries":
-        if cutoff > self.cutoff:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(
-            cutoff,
-            self.s_vars,
-            self.t_vars,
-            {k: v for k, v in self.coeffs.items() if self._weight(*k) <= cutoff},
-        )
-
     def substitute_t(
         self, subs: dict[int, "TruncatedSeries"]
     ) -> "TruncatedSeries":
         """Replace each t_k in `subs` by the given series, t_j fixed else.
 
-        Exact whenever every substituted series is weight-non-decreasing or
-        the source terms stay within the cutoff after substitution; a
-        weight-lowering substitution should be performed in an algebra cut
-        off high enough for its sources (see the module docstring).
+        The result lives in the algebra of the substituted series, whose
+        cutoff may lie below this series' own. Every product is truncated
+        there, and a source term is skipped when the least weight its image
+        can have (its unsubstituted part plus e_k times the least term
+        weight of subs[k] for each substituted t_k^e_k) is above the
+        cutoff. The result is exact when this series holds every term that
+        can land within the cutoff; a weight-lowering substitution needs a
+        source cut off high enough for that (see the module docstring).
         """
+        target = next(iter(subs.values()), self)
+        if target.cutoff > self.cutoff:
+            raise ValueError("cannot extend a truncated series")
         for k, series in subs.items():
             if not 0 <= k <= self.t_vars:
                 raise ValueError(f"no variable t_{k} in this algebra")
-            self._check_compatible(series)
-        power_cache: dict[tuple[int, int], TruncatedSeries] = {}
-
-        def sub_power(k: int, e: int) -> TruncatedSeries:
-            found = power_cache.get((k, e))
-            if found is None:
-                found = subs[k].power(e)
-                power_cache[(k, e)] = found
-            return found
-
+            target._check_compatible(series)
+        if (self.s_vars, self.t_vars) != (target.s_vars, target.t_vars):
+            raise ValueError("series live in different truncated algebras")
+        cutoff = target.cutoff
+        least = {
+            k: min((self._weight(*key) for key in series.coeffs), default=cutoff + 1)
+            for k, series in subs.items()
+        }
+        powers: dict[tuple[int, int], TruncatedSeries] = {}
         total: dict[MonomialKey, Fraction] = {}
         for (se, te), value in self.coeffs.items():
-            fixed = tuple(
-                e if k not in subs else 0 for k, e in enumerate(te)
+            fixed = tuple(0 if k in subs else e for k, e in enumerate(te))
+            lowest = self._weight(se, fixed) + sum(
+                e * least[k] for k, e in enumerate(te) if k in subs
             )
-            piece = self._like({(se, fixed): value})
+            if lowest > cutoff:
+                continue
+            piece = target._like({(se, fixed): value})
             for k, e in enumerate(te):
                 if e and k in subs:
-                    piece = piece * sub_power(k, e)
+                    if (k, e) not in powers:
+                        powers[k, e] = subs[k].power(e)
+                    piece = piece * powers[k, e]
             for key, v in piece.coeffs.items():
                 bucket = total.get(key, Fraction(0)) + v
                 if bucket:
                     total[key] = bucket
                 else:
                     total.pop(key, None)
-        return self._like(total)
+        return target._like(total)
 
     def __repr__(self) -> str:
         return (
@@ -197,16 +199,24 @@ def _monomial(
 
 
 def build_psi_series(
-    cutoff: int, s_vars: int, t_vars: int, oracle: KmzOracle
+    cutoff: int, s_vars: int, t_vars: int, oracle: KmzOracle, *, shifted: bool = False
 ) -> TruncatedSeries:
-    """Pure-descendant generating series up to the weight cutoff."""
+    """Pure-descendant generating series up to the weight cutoff.
+
+    With `shifted`, it holds instead the terms that can land at weight
+    `cutoff` or below once every t_k (k >= 2) is shifted: those of weight w
+    with m such factors and w - m <= cutoff, in an algebra at twice the
+    cutoff, which is the most such a term can weigh.
+    """
+    reach = 2 * cutoff if shifted else cutoff
     coeffs: dict[MonomialKey, Fraction] = {}
-    for genus, n, dim in stable_windows(cutoff, 1):
+    for genus, n, dim in stable_windows(reach, 1):
         for psi in psi_lists(dim, n):
-            if psi[0] <= t_vars:
+            lands = dim - sum(d >= 2 for d in psi) if shifted else dim
+            if psi[0] <= t_vars and lands <= cutoff:
                 key, denom = _monomial(ZERO, psi, s_vars, t_vars)
                 coeffs[key] = oracle.pure_psi(genus, psi) / denom
-    return TruncatedSeries(cutoff, s_vars, t_vars, coeffs)
+    return TruncatedSeries(reach, s_vars, t_vars, coeffs)
 
 
 def build_mixed_series(
@@ -256,8 +266,8 @@ def shift_check(
     """Mixed series versus shift-substituted pure series, coefficientwise,
     one case per monomial in sorted order.
 
-    The pure series is built internally at twice the cutoff so the
-    weight-lowering substitution is exact for every surviving coefficient.
+    Only the pure terms that can land within the cutoff are built, and
+    they are substituted into the algebra at the cutoff (module docstring).
     The algebra stops at t_T, so the shifts of t_k with k > T are dropped.
     The first of them has weight max(T, 1); with kappa variables present
     its terms would show as mismatches if that weight is within the cutoff,
@@ -269,9 +279,9 @@ def shift_check(
             f" needs t_vars >= {cutoff + 1}, got {t_vars}"
         )
     mixed = build_mixed_series(cutoff, s_vars, t_vars, engine).coeffs
-    source = build_psi_series(2 * cutoff, s_vars, t_vars, oracle)
-    shifts = canonical_shifts(2 * cutoff, s_vars, t_vars)
-    shifted = source.substitute_t(shifts).truncated(cutoff).coeffs
+    source = build_psi_series(cutoff, s_vars, t_vars, oracle, shifted=True)
+    shifts = canonical_shifts(cutoff, s_vars, t_vars)
+    shifted = source.substitute_t(shifts).coeffs
     sides = ("mixed ", "shifted pure ")
     return run_cases(
         (f"monomial {key}", mixed.get(key, 0), shifted.get(key, 0), sides)

@@ -118,6 +118,25 @@ def test_non_ascii_cache_byte_names_its_line(capsys, tmp_path, command):
     assert err.startswith(f"wprec: {path}:3: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "suite, given, exit_code",
+    [("cache", None, 2), ("cache", "missing", 1), ("hodge", "malformed", 2)],
+)
+def test_verify_reads_every_input_file_before_the_first_suite(
+    capsys, monkeypatch, tmp_path, suite, given, exit_code
+):
+    # An input file that cannot be read fails the run before the oracle
+    # suite, which runs first, prints its line.
+    monkeypatch.delenv("WPREC_CACHE", raising=False)
+    (tmp_path / "malformed").write_text("no genus here\n")
+    argv = ["verify", "--suite", "oracle", "--suite", suite, "--max-dim", "1"]
+    if given:
+        argv += ["--cache" if suite == "cache" else "--provider", str(tmp_path / given)]
+    code, out, err = run(capsys, *argv)
+    assert code == exit_code and out == ""
+    assert err.startswith("wprec: ") and err.count("\n") == 1
+
+
 def test_too_deep_signature_fails_cleanly(capsys):
     # A lowered limit reaches the clean failure after a few hundred
     # evaluations instead of the thousand the default limit needs.

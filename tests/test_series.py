@@ -74,15 +74,6 @@ def test_incompatible_algebras():
         a * b
 
 
-def test_truncated_lowers_the_cutoff():
-    s = _series(4, 1, 3, [((0,), (2, 0, 1, 0), 5)])
-    assert s.truncated(2).coeffs == {((0,), (2, 0, 1, 0)): 5}
-    cut = s.truncated(1)
-    assert cut.cutoff == 1 and cut.coeffs == {}
-    with pytest.raises(ValueError):
-        cut.truncated(3)
-
-
 def test_generating_series_coefficients(engine, oracle):
     G = build_mixed_series(3, 2, 4, engine)
     assert G.coeffs[((0, 0), (3, 0, 0, 0, 0))] == Fraction(1, 6)
@@ -139,6 +130,37 @@ def test_substitution_is_a_homomorphism():
     assert lhs.coeffs == rhs.coeffs
     with pytest.raises(ValueError):
         f.substitute_t({5: t2})
+
+
+def test_substitute_from_a_higher_cutoff_source():
+    # t_2 -> t_2 + s_1 at cutoff 3: t_2^3 lands as s_1^3 (the cross terms
+    # weigh more than 3), and t_2^4 can land no lower than weight 4.
+    source = _series(8, 1, 2, [((0,), (0, 0, 3), 5), ((0,), (0, 0, 4), 7)])
+    shift = _series(3, 1, 2, [((0,), (0, 0, 1), 1), ((1,), (0, 0, 0), 1)])
+    image = source.substitute_t({2: shift})
+    assert image.cutoff == 3
+    assert image.coeffs == {((3,), (0, 0, 0)): 5}
+    with pytest.raises(ValueError):
+        source.substitute_t({2: _series(3, 2, 2, [((1, 0), (0, 0, 0), 1)])})
+    with pytest.raises(ValueError):
+        _series(2, 1, 2, []).substitute_t({2: shift})
+
+
+@pytest.mark.parametrize("cutoff", range(6))
+def test_pruned_shift_equals_the_doubled_route(engine, oracle, monkeypatch, cutoff):
+    # The shift check builds only the pure terms that can land within the
+    # cutoff; substituting the whole pure series at twice the cutoff and
+    # then dropping the terms above the cutoff must give the same series.
+    t_vars = cutoff + 1
+    for s_vars in range(4):
+        source = build_psi_series(2 * cutoff, s_vars, t_vars, oracle)
+        image = source.substitute_t(canonical_shifts(2 * cutoff, s_vars, t_vars))
+        reference = TruncatedSeries(cutoff, s_vars, t_vars, image.coeffs)
+        monkeypatch.setattr(
+            "wprec.series.build_mixed_series", lambda *args: reference
+        )
+        report = shift_check(cutoff, s_vars, t_vars, engine, oracle)
+        assert report == (True, len(reference.coeffs), None), report
 
 
 def test_shift_check_small(engine, oracle):
