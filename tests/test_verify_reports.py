@@ -12,8 +12,8 @@ def test_shift_fail_line_labels_and_position(capsys, monkeypatch):
 
     def tampered(*args):
         series = real(*args)
-        key = sorted(series.coeffs)[5]
-        series.coeffs[key] += 1
+        key = sorted(series)[5]
+        series[key] += 1
         return series
 
     monkeypatch.setattr(wprec.series, "build_mixed_series", tampered)
