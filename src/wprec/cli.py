@@ -20,6 +20,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .cache import default_cache_path, load_cache, save_new_records, seed_engine
@@ -273,40 +274,31 @@ def _oracle_cases(engines: _Engines, sizes: argparse.Namespace):
         )
 
 
-def _identity_cases(check, engines: _Engines, signatures):
-    for genus, kappa, psi in signatures:
-        report = check(engines.correlator, genus, kappa, psi)
-        yield _signature_text(genus, kappa, psi), report.lhs, report.rhs, _IDENTITY
+def _identities(check, signatures):
+    """The suite entry, --max-dim 6 by default, that checks an identity of
+    the run's correlator engine at each (genus, kappa, psi) or
+    (genus, kappa, psi, r) of signatures(max_dim); an r is passed on to the
+    check and names the case " (r=N)"."""
+
+    def cases(engines: _Engines, sizes: argparse.Namespace):
+        for genus, kappa, psi, *r in signatures(sizes.max_dim):
+            report = check(engines.correlator, genus, kappa, psi, *r)
+            name = _signature_text(genus, kappa, psi)
+            if r:
+                name += f" (r={r[0]})"
+            yield name, report.lhs, report.rhs, _IDENTITY
+
+    return {"max_dim": 6}, _sweep(cases)
 
 
-def _transfer_cases(engines: _Engines, sizes: argparse.Namespace):
-    signatures = (
-        sig
-        for sig in correlator_signatures(sizes.max_dim, min_n=1)
-        if CorrelatorKey.make(*sig) not in INITIAL_VALUES
-    )
-    return _identity_cases(check_transfer_identity, engines, signatures)
+def _transfer_signatures(max_dim: int):
+    for sig in correlator_signatures(max_dim, min_n=1):
+        if CorrelatorKey.make(*sig) not in INITIAL_VALUES:
+            yield sig
 
 
-def _string_cases(engines: _Engines, sizes: argparse.Namespace):
-    signatures = correlator_signatures(sizes.max_dim, min_n=0, shell=1)
-    return _identity_cases(check_string_identity, engines, signatures)
-
-
-def _dilaton_cases(engines: _Engines, sizes: argparse.Namespace):
-    signatures = correlator_signatures(sizes.max_dim, min_n=0)
-    return _identity_cases(check_dilaton_identity, engines, signatures)
-
-
-def _kdv_cases(engines: _Engines, sizes: argparse.Namespace):
-    return _identity_cases(check_kdv_identity, engines, kdv_cases(sizes.max_dim))
-
-
-def _rshift_cases(engines: _Engines, sizes: argparse.Namespace):
-    for genus, kappa, psi, r in rshift_cases(sizes.max_dim):
-        report = check_shift_identity(engines.correlator, genus, kappa, psi, r)
-        name = f"{_signature_text(genus, kappa, psi)} (r={r})"
-        yield name, report.lhs, report.rhs, _IDENTITY
+_string_signatures = partial(correlator_signatures, min_n=0, shell=1)
+_dilaton_signatures = partial(correlator_signatures, min_n=0)
 
 
 def _volume_cases(engines: _Engines, sizes: argparse.Namespace):
@@ -368,11 +360,11 @@ def _cache_cases(engines: _Engines, sizes: argparse.Namespace):
 # no suite of the run reads is refused. Suites run in this order.
 SUITES = {
     "oracle": ({"max_dim": 7}, _sweep(_oracle_cases, positive=True)),
-    "transfer": ({"max_dim": 6}, _sweep(_transfer_cases)),
-    "string": ({"max_dim": 6}, _sweep(_string_cases)),
-    "dilaton": ({"max_dim": 6}, _sweep(_dilaton_cases)),
-    "kdv": ({"max_dim": 6}, _sweep(_kdv_cases)),
-    "rshift": ({"max_dim": 6}, _sweep(_rshift_cases)),
+    "transfer": _identities(check_transfer_identity, _transfer_signatures),
+    "string": _identities(check_string_identity, _string_signatures),
+    "dilaton": _identities(check_dilaton_identity, _dilaton_signatures),
+    "kdv": _identities(check_kdv_identity, kdv_cases),
+    "rshift": _identities(check_shift_identity, rshift_cases),
     "volume": ({"max_dim": 7}, _sweep(_volume_cases)),
     "shift": ({"cutoff": 6, "s_vars": 3, "t_vars": None}, _shift),
     "hodge": ({"max_genus": 3, "provider": None}, _sweep(_hodge_cases)),
@@ -550,14 +542,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"wprec: {exc}", file=sys.stderr)
         return 2
-    except LookupError as exc:
-        print(f"wprec: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LookupError, OSError) as exc:
         print(f"wprec: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
         print("wprec: signature too deep for the recursion limit", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("wprec: out of memory", file=sys.stderr)
         return 1
 
 

@@ -57,20 +57,16 @@ GAMMA_ODD = ConstantTable("gamma_odd", lambda w: double_factorial(2 * w - 1))
 GAMMA_FACT = ConstantTable("gamma_fact", factorial)
 
 
-def shift_polynomial(k: int, max_weight: int) -> dict[MultiIndex, Fraction]:
-    """Coefficient map of the k-th variable shift, truncated by weight.
+def shift_polynomial(k: int) -> dict[MultiIndex, Fraction]:
+    """Coefficient map of the k-th variable shift.
 
     The shift replaces the k-th descendant variable (k >= 2) by itself plus
     a polynomial in the kappa variables whose coefficient at the multi-index
-    L of weight k - 1 is (-1)^(length(L) - 1) / L!. Entries of weight above
-    max_weight are dropped (the polynomial is homogeneous of weight k - 1,
-    so the truncation either keeps all of it or none).
+    L of weight k - 1 is (-1)^(length(L) - 1) / L!.
     """
     if k < 2:
         raise ValueError(f"shift polynomials start at k = 2, got {k}")
     out: dict[MultiIndex, Fraction] = {}
-    if k - 1 > max_weight:
-        return out
     for L in indices_of_weight(k - 1):
         sign = 1 if L.length % 2 else -1
         out[L] = Fraction(sign, L.factorial())

@@ -54,7 +54,7 @@ from .multiindex import (
     multiset_splits,
     splits2,
 )
-from .numbers import IdentityReport, add_ratio, double_factorial, moduli_dim
+from .numbers import IdentityReport, add_ratio, descending, double_factorial, moduli_dim
 
 _HALF = Fraction(1, 2)
 
@@ -70,10 +70,7 @@ class CorrelatorKey(NamedTuple):
     def make(cls, genus: int, kappa: MultiIndex = ZERO, psi=()) -> "CorrelatorKey":
         if genus < 0:
             raise ValueError(f"negative genus {genus}")
-        exps = tuple(sorted(psi, reverse=True))
-        if exps and exps[-1] < 0:
-            raise ValueError(f"negative psi exponent in {exps}")
-        return cls(genus, kappa, exps)
+        return cls(genus, kappa, descending(psi))
 
     def text(self) -> str:
         return "{}|{}|{}".format(

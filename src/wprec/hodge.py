@@ -42,7 +42,7 @@ from typing import Iterator
 from .constants import GAMMA_FACT, GAMMA_ODD
 from .kmz import kappa_partition_terms
 from .multiindex import ZERO, MultiIndex, delta, splits2
-from .numbers import IdentityReport, bernoulli, double_factorial
+from .numbers import IdentityReport, bernoulli, descending, double_factorial
 
 LAMBDA_G = "lambda_g"
 LAMBDA_G_GM1 = "lambda_g_lambda_gm1"
@@ -174,12 +174,7 @@ class HodgeEngine:
     def _canonical(genus, tag, kappa, psi):
         if genus < 1:
             raise ValueError(f"pairings need genus >= 1, got {genus}")
-        if tag not in _TAGS:
-            raise ValueError(f"unknown pairing tag {tag!r}")
-        exps = tuple(sorted(psi, reverse=True))
-        if exps and exps[-1] < 0:
-            raise ValueError(f"negative psi exponent in {exps}")
-        return genus, tag, kappa, exps
+        return genus, tag, kappa, descending(psi)
 
     @staticmethod
     def _gated(genus, tag, kappa, exps) -> bool:

@@ -16,7 +16,8 @@ one table of int coefficients c_t over a common scale, one per distinct
 set of extra exponents, adds c_t N(g, exps + extra_t) as ints, and makes
 its single division, by
 scale 2^(4g - 2 + n) prod (2d_i + 1)!!, when it builds the one Fraction it
-returns.
+returns. A pure descendant value is kmz_expand at kappa = 0, whose table
+is the one term c = 1 with no extra exponents over scale 1.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ import math
 from fractions import Fraction
 
 from .multiindex import (
+    ZERO,
     MultiIndex,
     multiset_partitions,
     multiset_splits,
     ordered_nonempty_partitions,
 )
-from .numbers import double_factorial, moduli_dim
+from .numbers import descending, double_factorial, moduli_dim
 
 _partition_terms_cache: dict[MultiIndex, tuple[tuple[Fraction, tuple[int, ...]], ...]] = {}
 
@@ -72,31 +74,19 @@ class KmzOracle:
         ] = {}
 
     def pure_psi(self, genus: int, psi) -> Fraction:
-        """Descendant integral with no kappa factors.
+        """Descendant integral with no kappa factors: kmz_expand at kappa = 0.
 
         Zero off-dimension or on unstable signatures; exponents must be
         nonnegative.
         """
-        return self._pure(genus, self._canonical(genus, psi))
+        return self.kmz_expand(genus, ZERO, psi)
 
     @staticmethod
     def _canonical(genus: int, psi) -> tuple[int, ...]:
         """Descending exponents, after rejecting a negative genus or exponent."""
         if genus < 0:
             raise ValueError(f"negative genus {genus}")
-        exps = tuple(sorted(psi, reverse=True))
-        if exps and exps[-1] < 0:
-            raise ValueError(f"negative psi exponent in {exps}")
-        return exps
-
-    def _pure(self, genus: int, exps: tuple[int, ...]) -> Fraction:
-        scaled = self._scaled(genus, exps)
-        if not scaled:
-            return Fraction(0)
-        denom = 2 ** (4 * genus - 2 + len(exps))
-        for d in exps:
-            denom *= double_factorial(2 * d + 1)
-        return Fraction(scaled, denom)
+        return descending(psi)
 
     def _scaled(self, genus: int, exps: tuple[int, ...]) -> int:
         """N(g, d) = 2^(4g - 2 + n) prod (2d_i + 1)!! <tau_d>_g, an int.
@@ -169,8 +159,6 @@ class KmzOracle:
         exps = self._canonical(genus, psi)
         if kappa.weight + sum(exps) != moduli_dim(genus, len(exps)):
             return Fraction(0)
-        if not kappa:
-            return self._pure(genus, exps)
 
         scale, terms = self._expansion(kappa)
         total = 0
@@ -224,8 +212,6 @@ class KmzOracle:
         exps = self._canonical(genus, psi)
         if kappa.weight + sum(exps) != moduli_dim(genus, len(exps)):
             return Fraction(0)
-        if not kappa:
-            return self._pure(genus, exps)
 
         q = kappa.length
         total = Fraction(0)
@@ -242,6 +228,6 @@ class KmzOracle:
             total += (
                 Fraction(sign, denom)
                 * (kappa.factorial() // dealt)
-                * self._pure(genus, tuple(sorted(exps + new, reverse=True)))
+                * self.pure_psi(genus, exps + new)
             )
         return total

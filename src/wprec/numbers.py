@@ -4,9 +4,10 @@ Double factorials, Bernoulli and Euler numbers are served from memoized
 growing tables, which only ever grow by appending the next entry. The
 package starts no threads, so the tables take no lock.
 Everything returns ints or Fractions, never floats. moduli_dim is the one
-stability and dimension gate that every route applies, and IdentityReport
-the result type of the identity checks; both live here, in the one module
-that every route imports, so that no route has to import another.
+stability and dimension gate that every route applies, descending the one
+canonical psi form, and IdentityReport the result type of the identity
+checks; they live here, in the one module that every route imports, so
+that no route has to import another.
 
 add_ratio is the arithmetic under the hot kernels of every route: a kernel
 adds its terms as an unreduced integer pair (numerator, denominator) and
@@ -46,6 +47,14 @@ def moduli_dim(genus: int, n: int) -> int:
     if 2 * genus - 2 + n > 0:
         return 3 * genus - 3 + n
     return -1
+
+
+def descending(psi) -> tuple[int, ...]:
+    """The psi exponents sorted descending, after rejecting a negative one."""
+    exps = tuple(sorted(psi, reverse=True))
+    if exps and exps[-1] < 0:
+        raise ValueError(f"negative psi exponent in {exps}")
+    return exps
 
 
 class IdentityReport(NamedTuple):

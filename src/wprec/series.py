@@ -97,7 +97,7 @@ def canonical_shifts(s_vars: int, t_vars: int) -> dict[int, Polynomial]:
     return {
         k: {
             index: value
-            for index, value in shift_polynomial(k, k - 1).items()
+            for index, value in shift_polynomial(k).items()
             if index.entries[-1][0] <= s_vars
         }
         for k in range(2, t_vars + 1)
@@ -163,19 +163,22 @@ def shift_check(
     The pure terms that can land within the cutoff are expanded binomially,
     keeping only the choices whose exact image weight is within it (module
     docstring). P_k weighs k - 1, so only the shifts of t_2..t_(W+1) can
-    land. The series stop at t_T, so the shifts of t_k with k > T are
-    dropped. The first of them has weight max(T, 1); with kappa variables
-    present its terms would show as mismatches if that weight is within
-    the cutoff, so such a check is refused rather than reported as failed.
+    land, and no term that can land mentions s_i (i > W) or t_k
+    (k > W + 1): the keys stop at s_min(S, W) and t_min(T, W + 1). The
+    series stop at t_T, so the shifts of t_k with k > T are dropped. The
+    first of them has weight max(T, 1); with kappa variables present its
+    terms would show as mismatches if that weight is within the cutoff, so
+    such a check is refused rather than reported as failed.
     """
     if s_vars and max(t_vars, 1) <= cutoff:
         raise ValueError(
             f"the shift check at cutoff {cutoff} with kappa variables"
             f" needs t_vars >= {cutoff + 1}, got {t_vars}"
         )
+    s_vars, t_vars = min(s_vars, cutoff), min(t_vars, cutoff + 1)
     mixed = build_mixed_series(cutoff, s_vars, t_vars, engine)
     source = build_psi_series(cutoff, s_vars, t_vars, oracle)
-    shifts = canonical_shifts(s_vars, min(t_vars, cutoff + 1))
+    shifts = canonical_shifts(s_vars, t_vars)
     shifted = shifted_series(source, shifts, cutoff)
     sides = ("mixed ", "shifted pure ")
     return run_cases(

@@ -136,9 +136,7 @@ class VolumeEngine:
             total_n, total_d = add_ratio(total_n, total_d, 5 * cb * vn, vd)
             xn, xd = self._times_kappa(genus - 1, 3, left, right.weight)
             sixths_n, sixths_d = add_ratio(sixths_n, sixths_d, cb * xn, xd)
-        total_n, total_d = add_ratio(total_n, total_d, -sixths_n, 6 * sixths_d)
-        for left, others, cb in splits2(kappa):
-            for mid, rest, cm in splits2(others):
+            for mid, rest, cm in splits2(right):
                 # V_{g_i,1}(kappa(mid) kappa_wt(left)) needs
                 # wt(mid) + wt(left) = 3g_i - 2, both when wt(left) = 0 (the
                 # scalar case) and when it adds delta_wt(left).
@@ -151,7 +149,6 @@ class VolumeEngine:
                     total_n, total_d = add_ratio(
                         total_n, total_d, -cb * cm * fn * sn, fd * sd
                     )
-        for left, right, cb in splits2(kappa):
             if right.length < 2:
                 continue
             bumped = left + delta(right.weight)
@@ -162,6 +159,7 @@ class VolumeEngine:
             for e, f, ce in splits2(bumped):
                 xn, xd = self._times_kappa(genus, 0, e, f.weight)
                 total_n, total_d = add_ratio(total_n, total_d, -cb * ce * xn, xd)
+        total_n, total_d = add_ratio(total_n, total_d, -sixths_n, 6 * sixths_d)
 
         prefactor = (2 * genus - 1) * (2 * genus - 2) + (4 * genus - 3) * q + q * q
         result = Fraction(total_n, total_d * prefactor)

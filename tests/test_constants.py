@@ -137,12 +137,12 @@ def test_gamma_kdv_closed_form():
 
 def test_shift_polynomial_frozen():
     s1 = delta(1)
-    assert shift_polynomial(2, 6) == {s1: Fraction(1)}
-    assert shift_polynomial(3, 6) == {
+    assert shift_polynomial(2) == {s1: Fraction(1)}
+    assert shift_polynomial(3) == {
         delta(2): Fraction(1),
         MultiIndex({1: 2}): Fraction(-1, 2),
     }
-    assert shift_polynomial(4, 6) == {
+    assert shift_polynomial(4) == {
         delta(3): Fraction(1),
         MultiIndex({1: 1, 2: 1}): Fraction(-1),
         MultiIndex({1: 3}): Fraction(1, 6),
@@ -150,11 +150,8 @@ def test_shift_polynomial_frozen():
 
 
 def test_shift_polynomial_truncation_and_errors():
-    # Homogeneous of weight k - 1: all-or-nothing under the cutoff.
-    assert shift_polynomial(5, 3) == {}
-    assert shift_polynomial(5, 4) != {}
     with pytest.raises(ValueError):
-        shift_polynomial(1, 6)
+        shift_polynomial(1)
 
 
 def test_fresh_table_matches_module_table():

@@ -1,7 +1,8 @@
 """Inputs that must fail cleanly: poisoned cache seeds, undecodable cache
 and provider bytes, verify options no named suite reads, malformed Hodge
 provider lines, signatures deeper than the recursion limit, and negative
-exponents in the unordered descendant expansion."""
+exponents in the unordered descendant expansion; and shift-check widths far
+beyond the cutoff, which must pass with no more memory than narrow ones."""
 
 import sys
 
@@ -157,3 +158,23 @@ def test_too_deep_signature_fails_cleanly(capsys):
 def test_unordered_expansion_rejects_negative_exponents(kappa, psi):
     with pytest.raises(ValueError, match="negative psi exponent"):
         KmzOracle().kmz_expand_unordered(0, kappa, psi)
+
+
+@pytest.mark.parametrize(
+    "widths, cases",
+    [(("--s-vars", "0", "--t-vars", "1000000"), 7), (("--s-vars", "1000000"), 15)],
+)
+def test_huge_shift_widths_build_only_the_keys_that_can_land(capsys, widths, cases):
+    # At cutoff 2 no kept monomial mentions s_i with i > 2 or t_k with
+    # k > 3, so a million variables cost no more than those.
+    code, out, err = run(capsys, "verify", "--shift", "--cutoff", "2", *widths)
+    assert (code, out, err) == (0, f"PASS ({cases} cases)\n", "")
+
+
+def test_memory_error_is_one_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr("wprec.cli._cmd_compute", exhausted)
+    code, out, err = run(capsys, "compute", "-g", "0", "--psi", "0,0,0")
+    assert (code, out, err) == (1, "", "wprec: out of memory\n")

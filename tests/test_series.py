@@ -64,15 +64,16 @@ def test_shift_check_reports_a_missing_monomial_as_zero(engine, oracle, monkeypa
 
 
 @pytest.mark.parametrize("cutoff", range(5))
-def test_pruned_shift_equals_the_doubled_route(engine, oracle, monkeypatch, cutoff):
-    # The shift check builds only the pure terms that can land within the
-    # cutoff and expands them binomially; the literal expansion of the
-    # build at twice the cutoff, a superset of those terms, must give the
-    # same series.
+def test_shift_check_equals_the_literal_expansion(engine, oracle, monkeypatch, cutoff):
+    # The shift check expands the pure terms that can land within the
+    # cutoff binomially; the literal expansion of the build at twice the
+    # cutoff, a superset of those terms, must give the same series. The
+    # check keys s_1..s_min(S, W), so s_vars up to 3 also covers S > W.
     t_vars = cutoff + 1
     for s_vars in range(4):
-        source = build_psi_series(2 * cutoff, s_vars, t_vars, oracle)
-        reference = literal_shift(source, canonical_shifts(s_vars, t_vars), cutoff)
+        width = min(s_vars, cutoff)
+        source = build_psi_series(2 * cutoff, width, t_vars, oracle)
+        reference = literal_shift(source, canonical_shifts(width, t_vars), cutoff)
         monkeypatch.setattr(
             "wprec.series.build_mixed_series", lambda *args: reference
         )

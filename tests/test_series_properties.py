@@ -33,7 +33,12 @@ def pure_series(draw):
     return cutoff, s_vars, t_vars, source
 
 
-@hypothesis.settings(max_examples=30, deadline=None, database=None)
+# No shrink phase: shrinking a failing draw re-runs the literal expansion at
+# every step, so a failure would take minutes to report instead of seconds.
+NO_SHRINK = tuple(p for p in hypothesis.Phase if p is not hypothesis.Phase.shrink)
+
+
+@hypothesis.settings(max_examples=30, deadline=None, database=None, phases=NO_SHRINK)
 @hypothesis.given(pure_series())
 def test_binomial_expansion_equals_the_literal_one(case):
     cutoff, s_vars, t_vars, source = case
