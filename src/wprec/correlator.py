@@ -17,6 +17,19 @@ into an unreduced pair (numbers.add_ratio), alpha(L) C(b, L) folds that pair
 into the evaluation's pair, and the one division, by 2 (2d + 1)!!, builds
 the single normalised Fraction that the memo stores.
 
+The genus-drop and separating-split terms come in mirror pairs. With
+r + s = d + wt(L) - 2, the term at r and the one at s (for a split, with
+the two kappa parts and the two exponent parts swapped too) have equal
+products, because C(L', .), the dealing counts and (2r + 1)!! (2s + 1)!!
+are symmetric. So r runs only up to s, and a term with r < s is weighted
+2; the mirror of a term with r = s is again such a term, so those count
+once each. The splits I + J of the other exponents are built at the first
+bracket that needs them and grouped by sum(I) + 2 - len(I), so the residue
+and range of r are worked out once per (part of L', group), not once per
+split.
+Sub-values are read from the memo with plain (g, kappa, psi) tuples, and a
+CorrelatorKey is built only when a lookup misses.
+
 One L's terms, its bracket, hold kappa(L') and the pivot exponent
 d + wt(L). On shell wt(L) = 3g - 3 + n - sum(d) - wt(L') is fixed by the
 rest, so the bracket depends only on (g, L', d, pivot) and is shared by
@@ -153,7 +166,18 @@ class CorrelatorEngine:
         others = d[:pivot] + d[pivot + 1 :]
         alpha = self._alpha
         value = self._value
+        memo_get = self.memo.get
         brackets = self.brackets
+
+        def read(genus: int, kappa: MultiIndex, exps: tuple[int, ...]):
+            """One sub-value as an integer pair. The memo is read with a
+            plain tuple, which hashes and compares like CorrelatorKey;
+            _value, the only memo writer, gets a CorrelatorKey on a miss."""
+            psi = tuple(sorted(exps, reverse=True))
+            found = memo_get((genus, kappa, psi))
+            if found is None:
+                found = value(CorrelatorKey(genus, kappa, psi))
+            return found.as_integer_ratio()
 
         counts: dict[int, int] = {}
         removed: dict[int, tuple[int, ...]] = {}
@@ -161,11 +185,9 @@ class CorrelatorEngine:
             counts[v] = counts.get(v, 0) + 1
             if v not in removed:
                 removed[v] = others[:pos] + others[pos + 1 :]
-        # Each split I + J of the others, with sum(I) + 2 - len(I).
-        pairs = [
-            (part_i, part_j, ways, sum(part_i) + 2 - len(part_i))
-            for part_i, part_j, ways in multiset_splits(others)
-        ]
+        # shift -> the splits I + J of the others with sum(I) + 2 - len(I)
+        # = shift, built at the first bracket that needs them.
+        groups: dict[int, list] | None = None
 
         total_n, total_d = 0, 1
         for left, rest_kappa, cb in splits2(b):
@@ -183,13 +205,7 @@ class CorrelatorEngine:
                     merged = base + v - 1
                     if merged < 0:
                         continue
-                    vn, vd = value(
-                        CorrelatorKey(
-                            g,
-                            rest_kappa,
-                            tuple(sorted(removed[v] + (merged,), reverse=True)),
-                        )
-                    ).as_integer_ratio()
+                    vn, vd = read(g, rest_kappa, removed[v] + (merged,))
                     acc_n, acc_d = add_ratio(
                         acc_n,
                         acc_d,
@@ -200,52 +216,46 @@ class CorrelatorEngine:
                         * vn,
                         vd,
                     )
-                # (2r + 1)!! (2s + 1)!! for r + s = base - 2, indexed by r.
+                # The genus-drop and split terms at r and at s = base - 2 - r
+                # are mirrors with equal products, so r runs up to s and
+                # odd[r] = (2r + 1)!! (2s + 1)!! is doubled when r < s.
                 odd = [
-                    double_factorial(2 * r + 1) * double_factorial(2 * (base - r) - 3)
-                    for r in range(base - 1)
+                    (1 if 2 * r == base - 2 else 2)
+                    * double_factorial(2 * r + 1)
+                    * double_factorial(2 * (base - r) - 3)
+                    for r in range(base // 2)
                 ]
                 if g >= 1:
-                    for r in range(base - 1):
-                        vn, vd = value(
-                            CorrelatorKey(
-                                g - 1,
-                                rest_kappa,
-                                tuple(sorted(others + (r, base - 2 - r), reverse=True)),
-                            )
-                        ).as_integer_ratio()
-                        acc_n, acc_d = add_ratio(acc_n, acc_d, odd[r] * vn, vd)
+                    for r, weight in enumerate(odd):
+                        vn, vd = read(g - 1, rest_kappa, others + (r, base - 2 - r))
+                        acc_n, acc_d = add_ratio(acc_n, acc_d, weight * vn, vd)
                 if base >= 2:
+                    if groups is None:
+                        groups = {}
+                        for split in multiset_splits(others):
+                            shift = sum(split[0]) + 2 - len(split[0])
+                            groups.setdefault(shift, []).append(split)
+                    top_r = base // 2 - 1
                     for mid, rest, cm in splits2(rest_kappa):
-                        for part_i, part_j, ways, shift in pairs:
+                        for shift, group in groups.items():
                             dim_i = mid.weight + shift
                             # g_i = (dim_i + r) / 3 must be an integer in 0..g.
                             low = max(0, -dim_i)
                             low += -(dim_i + low) % 3
-                            for r in range(low, min(base - 2, 3 * g - dim_i) + 1, 3):
+                            for r in range(low, min(top_r, 3 * g - dim_i) + 1, 3):
                                 gi = (dim_i + r) // 3
-                                fn, fd = value(
-                                    CorrelatorKey(
-                                        gi,
-                                        mid,
-                                        tuple(sorted(part_i + (r,), reverse=True)),
-                                    )
-                                ).as_integer_ratio()
-                                if not fn:
-                                    continue
                                 s = base - 2 - r
-                                sn, sd = value(
-                                    CorrelatorKey(
-                                        g - gi,
-                                        rest,
-                                        tuple(sorted(part_j + (s,), reverse=True)),
+                                weight = cm * odd[r]
+                                for part_i, part_j, ways in group:
+                                    fn, fd = read(gi, mid, part_i + (r,))
+                                    if not fn:
+                                        continue
+                                    sn, sd = read(g - gi, rest, part_j + (s,))
+                                    if not sn:
+                                        continue
+                                    acc_n, acc_d = add_ratio(
+                                        acc_n, acc_d, weight * ways * fn * sn, fd * sd
                                     )
-                                ).as_integer_ratio()
-                                if not sn:
-                                    continue
-                                acc_n, acc_d = add_ratio(
-                                    acc_n, acc_d, cm * ways * odd[r] * fn * sn, fd * sd
-                                )
                 common = gcd(acc_n, acc_d)
                 bracket = acc_n // common, acc_d // common
                 # Below weight 2 L is the only index of its weight, so only

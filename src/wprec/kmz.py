@@ -18,6 +18,11 @@ its single division, by
 scale 2^(4g - 2 + n) prod (2d_i + 1)!!, when it builds the one Fraction it
 returns. A pure descendant value is kmz_expand at kappa = 0, whose table
 is the one term c = 1 with no extra exponents over scale 1.
+
+The DVV genus-drop and split terms come in mirror pairs: with
+r + s = d_1 - 2, the term at r and the one at s (for a split, with I and J
+swapped) have equal products. So r runs only up to s, and a term with
+r < s counts twice.
 """
 
 from __future__ import annotations
@@ -128,25 +133,30 @@ class KmzOracle:
             )
 
         if d1 >= 2:
+            # The terms at r and at s = d1 - 2 - r are mirrors with equal
+            # products, so r runs up to s and a term with r < s counts twice.
+            top_r = d1 // 2 - 1
             if genus >= 1:
-                for r in range(d1 - 1):
-                    total += 4 * self._scaled(
-                        genus - 1, tuple(sorted(others + (r, d1 - 2 - r), reverse=True))
+                for r in range(top_r + 1):
+                    s = d1 - 2 - r
+                    total += (4 if r == s else 8) * self._scaled(
+                        genus - 1, tuple(sorted(others + (r, s), reverse=True))
                     )
             for part_i, part_j, ways in multiset_splits(others):
                 dim_i = sum(part_i) + 2 - len(part_i)
                 # g_i = (dim_i + r) / 3 must be an integer in 0..genus.
                 low = max(0, -dim_i)
                 low += -(dim_i + low) % 3
-                for r in range(low, min(d1 - 2, 3 * genus - dim_i) + 1, 3):
+                for r in range(low, min(top_r, 3 * genus - dim_i) + 1, 3):
                     gi = (dim_i + r) // 3
                     left = self._scaled(gi, tuple(sorted(part_i + (r,), reverse=True)))
                     if not left:
                         continue
+                    s = d1 - 2 - r
                     right = self._scaled(
-                        genus - gi, tuple(sorted(part_j + (d1 - 2 - r,), reverse=True))
+                        genus - gi, tuple(sorted(part_j + (s,), reverse=True))
                     )
-                    total += ways * left * right
+                    total += (ways if r == s else 2 * ways) * left * right
 
         return self._psi_memo.setdefault(key, total)
 

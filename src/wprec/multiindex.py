@@ -10,10 +10,16 @@ The text form is ``i:m`` pairs joined by commas in ascending index order
 
 Each combinatorial object has one enumerator here, and an enumerator that
 weights its objects yields the weight with the object, worked out where the
-object is built: splits2 yields C(b, L) with each split, and
+object is built: splits2 gives C(b, L) with each split, and
 ordered_nonempty_partitions and multiset_splits their dealing counts.
 partitions is the one integer-partition enumerator; indices_of_weight
 filters it.
+
+splits2(b) returns a tuple, built on the first call and kept on b itself
+(the _splits slot), so every route that splits the same index again, the
+pivot and volume kernels included, reads the kept tuple. The cost is
+memory: each index that was ever split holds prod(b(i) + 1) triples for as
+long as it lives, which, interned, is the whole process.
 
 Instances are interned: the trusted constructor MultiIndex._raw, which the
 public constructor ends in, returns one object per entries tuple, kept in
@@ -37,7 +43,7 @@ _INTERN: dict[tuple[tuple[int, int], ...], "MultiIndex"] = {}
 class MultiIndex:
     """Immutable finitely-supported map from positive indices to counts."""
 
-    __slots__ = ("_entries", "_weight", "_length", "_hash")
+    __slots__ = ("_entries", "_weight", "_length", "_hash", "_splits")
 
     def __new__(
         cls, source: Iterable[tuple[int, int]] | dict[int, int] = ()
@@ -72,6 +78,7 @@ class MultiIndex:
             self._weight = weight
             self._length = length
             self._hash = hash(entries)
+            self._splits = None
         return self
 
     @property
@@ -202,18 +209,23 @@ def multi_binomial(b: MultiIndex, sub: MultiIndex) -> int:
     return out
 
 
-def splits2(b: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex, int]]:
+def splits2(b: MultiIndex) -> tuple[tuple[MultiIndex, MultiIndex, int], ...]:
     """All ordered pairs (L, L') with L + L' = b, each with C(b, L).
 
-    The first pair yielded is (0, b) and the last is (b, 0); there are
+    The first pair is (0, b) and the last is (b, 0); there are
     prod(b(i) + 1) pairs in total. Each pair is built in one pass over b's
     entries, which sums L's weight and length and multiplies the count
     C(b, L) = prod C(b(i), L(i)) on the way; L' gets b's weight and length
-    minus L's, and both go through the trusted constructor.
+    minus L's, and both go through the trusted constructor. The tuple is
+    built once per index and kept on it.
     """
+    found = b._splits
+    if found is not None:
+        return found
     entries = b.entries
     weight, length = b.weight, b.length
     raw = MultiIndex._raw
+    out = []
     for counts in itertools.product(*(range(m + 1) for _, m in entries)):
         left = []
         right = []
@@ -229,7 +241,11 @@ def splits2(b: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex, int]]:
                     ways *= comb(m, c)
             else:
                 right.append((i, m))
-        yield raw(tuple(left), w, n), raw(tuple(right), weight - w, length - n), ways
+        out.append(
+            (raw(tuple(left), w, n), raw(tuple(right), weight - w, length - n), ways)
+        )
+    b._splits = found = tuple(out)
+    return found
 
 
 def splits3(
@@ -309,15 +325,20 @@ def multiset_splits(values: tuple) -> Iterator[tuple[tuple, tuple, int]]:
             groups[-1] = (v, groups[-1][1] + 1)
         else:
             groups.append((v, 1))
-    for takes in itertools.product(*(range(c + 1) for _, c in groups)):
-        picked: list = []
-        left: list = []
+    # Per group, the (picked, left, C(c, t)) of each take t, made once.
+    options = [
+        [((v,) * t, (v,) * (c - t), comb(c, t)) for t in range(c + 1)]
+        for v, c in groups
+    ]
+    for choice in itertools.product(*options):
+        picked: tuple = ()
+        left: tuple = ()
         count = 1
-        for (v, c), t in zip(groups, takes):
-            picked.extend([v] * t)
-            left.extend([v] * (c - t))
-            count *= comb(c, t)
-        yield tuple(picked), tuple(left), count
+        for part_i, part_j, ways in choice:
+            picked += part_i
+            left += part_j
+            count *= ways
+        yield picked, left, count
 
 
 def partitions(

@@ -6,8 +6,9 @@ recurrence for indices_of_weight.
 """
 
 import copy
+import itertools
 import pickle
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -124,6 +125,23 @@ def test_splits2_count_order_and_sum():
         assert len(set(pairs)) == len(pairs)
         for left, right in pairs:
             assert left + right == b
+
+
+def test_splits2_is_one_kept_tuple_of_the_literal_splits():
+    for b in (ZERO, delta(3), MultiIndex({1: 2, 2: 1}), MultiIndex({1: 3, 4: 2})):
+        kept = splits2(b)
+        assert type(kept) is tuple and splits2(b) is kept
+        literal = []
+        for counts in itertools.product(*(range(m + 1) for _, m in b.entries)):
+            pairs = list(zip(b.entries, counts))
+            literal.append(
+                (
+                    MultiIndex((i, c) for (i, _), c in pairs),
+                    MultiIndex((i, m - c) for (i, m), c in pairs),
+                    prod(comb(m, c) for (_, m), c in pairs),
+                )
+            )
+        assert kept == tuple(literal)
 
 
 def test_splits3_matches_iterated_splits2():

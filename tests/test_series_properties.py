@@ -1,6 +1,8 @@
 """Property test: the binomial shift expansion equals the literal one on
 random sparse pure series."""
 
+from fractions import Fraction
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -39,6 +41,9 @@ NO_SHRINK = tuple(p for p in hypothesis.Phase if p is not hypothesis.Phase.shrin
 
 
 @hypothesis.settings(max_examples=30, deadline=None, database=None, phases=NO_SHRINK)
+# t_2^2 with one kappa variable at cutoff 3: putting P_2 in one of its two
+# t_2 factors carries C(2, 1) = 2, so a lost binomial factor fails every run.
+@hypothesis.example((3, 1, 4, {((0,), (0, 0, 2, 0, 0)): Fraction(1)}))
 @hypothesis.given(pure_series())
 def test_binomial_expansion_equals_the_literal_one(case):
     cutoff, s_vars, t_vars, source = case
