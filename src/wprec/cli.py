@@ -34,6 +34,7 @@ from .correlator import (
     check_shift_identity,
     check_string_identity,
     check_transfer_identity,
+    parse_psi,
 )
 from .hodge import (
     LAMBDA_G,
@@ -56,15 +57,6 @@ from .sweeps import (
     volume_signatures,
 )
 from .volumes import VolumeEngine
-
-
-def _parse_psi(text: str) -> tuple[int, ...]:
-    if not text:
-        return ()
-    try:
-        return tuple(int(piece) for piece in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad psi list {text!r}") from None
 
 
 def _size(text: str) -> int:
@@ -118,9 +110,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_cache(option: str | None) -> str | None:
     """Turn the --cache option into a path; '' means consult WPREC_CACHE."""
-    if option is None:
-        return None
-    if option:
+    if option != "":
         return option
     path = default_cache_path()
     if path is None:
@@ -130,7 +120,7 @@ def _resolve_cache(option: str | None) -> str | None:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     key = CorrelatorKey.make(
-        args.genus, MultiIndex.from_text(args.kappa), _parse_psi(args.psi)
+        args.genus, MultiIndex.from_text(args.kappa), parse_psi(args.psi)
     )
     cache_path = _resolve_cache(args.cache)
     engine = CorrelatorEngine()
@@ -176,7 +166,7 @@ def _cmd_volume(args: argparse.Namespace) -> int:
 
 def _cmd_hodge(args: argparse.Namespace) -> int:
     kappa = MultiIndex.from_text(args.kappa)
-    psi = _parse_psi(args.psi)
+    psi = parse_psi(args.psi)
     provider = FileBaseValues(args.provider) if args.provider else None
     engine = HodgeEngine(provider)
     if args.route == "direct":
@@ -282,11 +272,11 @@ def _identities(check, signatures):
 
     def cases(engines: _Engines, sizes: argparse.Namespace):
         for genus, kappa, psi, *r in signatures(sizes.max_dim):
-            report = check(engines.correlator, genus, kappa, psi, *r)
+            lhs, rhs = check(engines.correlator, genus, kappa, psi, *r)
             name = _signature_text(genus, kappa, psi)
             if r:
                 name += f" (r={r[0]})"
-            yield name, report.lhs, report.rhs, _IDENTITY
+            yield name, lhs, rhs, _IDENTITY
 
     return {"max_dim": 6}, _sweep(cases)
 
@@ -331,9 +321,9 @@ def _hodge_cases(engines: _Engines, sizes: argparse.Namespace):
             ("expansion ", "direct "),
         )
     for genus, tag, d, d0, rest in pairing_reduction_cases(sizes.max_genus):
-        report = check_pairing_reduction(engine, genus, tag, d, d0, rest)
+        lhs, rhs = check_pairing_reduction(engine, genus, tag, d, d0, rest)
         name = f"g={genus} {tag} d={d} d0={d0} rest={rest}"
-        yield name, report.lhs, report.rhs, _IDENTITY
+        yield name, lhs, rhs, _IDENTITY
 
 
 def _shift(engines: _Engines, sizes: argparse.Namespace):
@@ -536,7 +526,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse before 3.13 reads --name=-- as []
+        parser.error("'--' is not an option value")
     try:
         return args.func(args)
     except ValueError as exc:

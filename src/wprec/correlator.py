@@ -51,7 +51,8 @@ dilaton identity holds at n = 0 by construction; closed volumes
 
 The identity checks against the engine (transfer, string, dilaton, KdV and
 shift) live at the end of this module and share two sums, _split_pairs and
-_signed_point_sum. IdentityReport, their result type, lives in numbers.
+_signed_point_sum. Each returns its two sides as a (lhs, rhs) pair; the
+caller compares them.
 """
 
 from __future__ import annotations
@@ -67,9 +68,19 @@ from .multiindex import (
     multiset_splits,
     splits2,
 )
-from .numbers import IdentityReport, add_ratio, descending, double_factorial, moduli_dim
+from .numbers import add_ratio, descending, double_factorial, moduli_dim
 
 _HALF = Fraction(1, 2)
+
+
+def parse_psi(text: str) -> tuple[int, ...]:
+    """The exponents of a --psi list or of a cache key: comma separated."""
+    if not text:
+        return ()
+    try:
+        return tuple(int(piece) for piece in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad psi list {text!r}") from None
 
 
 class CorrelatorKey(NamedTuple):
@@ -95,9 +106,8 @@ class CorrelatorKey(NamedTuple):
         parts = text.split("|")
         if len(parts) != 3:
             raise ValueError(f"bad correlator key {text!r}")
-        g_text, kappa_text, psi_text = parts
-        psi = tuple(int(c) for c in psi_text.split(",") if c.strip())
-        return cls.make(int(g_text), MultiIndex.from_text(kappa_text), psi)
+        genus, kappa, psi = parts
+        return cls.make(int(genus), MultiIndex.from_text(kappa), parse_psi(psi))
 
 
 # The recursion cannot produce these three values; they are its seeds and
@@ -328,7 +338,7 @@ def _signed_point_sum(
 
 def check_transfer_identity(
     engine: CorrelatorEngine, genus: int, kappa: MultiIndex, psi
-) -> IdentityReport:
+) -> tuple[Fraction, Fraction]:
     """Signed kappa-to-descendant transfer around the first exponent.
 
     The left side swaps sub-indices of kappa into the distinguished
@@ -374,12 +384,12 @@ def check_transfer_identity(
         if genus >= 1:
             rhs += weight * engine.correlator(genus - 1, kappa, (r, s) + others)
         rhs += weight * _split_pairs(engine, genus, kappa, others, (r,), (s,))
-    return IdentityReport(lhs == rhs, lhs, rhs)
+    return lhs, rhs
 
 
 def check_string_identity(
     engine: CorrelatorEngine, genus: int, kappa: MultiIndex, psi
-) -> IdentityReport:
+) -> tuple[Fraction, Fraction]:
     """Adding an exponent-zero insertion, with kappa correction terms.
 
     Nontrivial when weight(kappa) + sum(psi) == 3g - 2 + n; both sides
@@ -394,22 +404,22 @@ def check_string_identity(
         rhs += engine.correlator(
             genus, kappa, exps[:pos] + (v - 1,) + exps[pos + 1 :]
         )
-    return IdentityReport(lhs == rhs, lhs, rhs)
+    return lhs, rhs
 
 
 def check_dilaton_identity(
     engine: CorrelatorEngine, genus: int, kappa: MultiIndex, psi
-) -> IdentityReport:
+) -> tuple[Fraction, Fraction]:
     """Adding an exponent-one insertion, with kappa correction terms."""
     exps = tuple(psi)
     lhs = _signed_point_sum(engine, genus, kappa, exps, 1)
     rhs = (2 * genus - 2 + len(exps)) * engine.correlator(genus, kappa, exps)
-    return IdentityReport(lhs == rhs, lhs, rhs)
+    return lhs, rhs
 
 
 def check_kdv_identity(
     engine: CorrelatorEngine, genus: int, kappa: MultiIndex, psi
-) -> IdentityReport:
+) -> tuple[Fraction, Fraction]:
     """Genus-lowering form for a correlator carrying both tau_0 and tau_1."""
     exps = tuple(psi)
     lhs = engine.correlator(genus, kappa, (0, 1) + exps)
@@ -418,12 +428,12 @@ def check_kdv_identity(
         rhs += Fraction(1, 12) * engine.correlator(
             genus - 1, kappa, (0, 0, 0, 0) + exps
         )
-    return IdentityReport(lhs == rhs, lhs, rhs)
+    return lhs, rhs
 
 
 def check_shift_identity(
     engine: CorrelatorEngine, genus: int, kappa: MultiIndex, psi, r: int
-) -> IdentityReport:
+) -> tuple[Fraction, Fraction]:
     """Trading tau_1 tau_r for tau_0 tau_(r+1) plus lower terms."""
     if r < 0:
         raise ValueError(f"negative shift exponent {r}")
@@ -435,4 +445,4 @@ def check_shift_identity(
             genus - 1, kappa, (0, 0, 0, r) + exps
         )
     rhs -= _split_pairs(engine, genus, kappa, exps, (0, r), (0, 0))
-    return IdentityReport(lhs == rhs, lhs, rhs)
+    return lhs, rhs

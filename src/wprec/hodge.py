@@ -12,8 +12,9 @@ Seeds default to the classical closed forms
     <psi^(g-1) lambda_g lambda_(g-1)> = |B_2g| / (2^(2g-1) (2g-1)!! 2g)
 
 proved by Faber and Pandharipande (Invent. Math. 139 (2000) and the lambda_g
-conjecture literature); any other provider of one-point values can be
-substituted and all outputs scale linearly with it.
+conjecture literature); any other provider of one-point values, an object
+with base_value(genus, tag) -> Fraction, can be substituted and all outputs
+scale linearly with it.
 
 Two independent kappa-handling routes are exposed. The primary route
 rewrites kappa factors as signed descendant insertions and reduces the pure
@@ -42,11 +43,10 @@ from typing import Iterator
 from .constants import GAMMA_FACT, GAMMA_ODD
 from .kmz import kappa_partition_terms
 from .multiindex import ZERO, MultiIndex, delta, splits2
-from .numbers import IdentityReport, bernoulli, descending, double_factorial
+from .numbers import bernoulli, descending, double_factorial
 
 LAMBDA_G = "lambda_g"
 LAMBDA_G_GM1 = "lambda_g_lambda_gm1"
-_TAGS = (LAMBDA_G, LAMBDA_G_GM1)
 
 # The direct-route table of each tag. Its denominator sequence f, k! for
 # lambda_g and (2k - 1)!! for lambda_g lambda_(g-1), also gives the two
@@ -63,14 +63,7 @@ def pairing_degree(tag: str, genus: int, n: int) -> int:
     raise ValueError(f"unknown pairing tag {tag!r}")
 
 
-class BaseValueProvider:
-    """One-point seed values; subclasses fill in base_value."""
-
-    def base_value(self, genus: int, tag: str) -> Fraction:
-        raise NotImplementedError
-
-
-class DefaultBaseValues(BaseValueProvider):
+class DefaultBaseValues:
     """Faber-Pandharipande closed forms, any genus >= 1."""
 
     def base_value(self, genus: int, tag: str) -> Fraction:
@@ -90,7 +83,7 @@ class DefaultBaseValues(BaseValueProvider):
         raise ValueError(f"unknown pairing tag {tag!r}")
 
 
-class FileBaseValues(BaseValueProvider):
+class FileBaseValues:
     """Seed values from a text file of lines ``genus,tag,num/den``.
 
     Blank lines and lines starting with ``#`` are ignored. A malformed line,
@@ -118,7 +111,7 @@ class FileBaseValues(BaseValueProvider):
             if len(parts) != 3:
                 raise ValueError(f"{path}:{line_no}: expected genus,tag,value")
             tag = parts[1]
-            if tag not in _TAGS:
+            if tag not in _GAMMA:
                 raise ValueError(f"{path}:{line_no}: unknown tag {tag!r}")
             try:
                 key, value = (int(parts[0]), tag), Fraction(parts[2])
@@ -139,9 +132,11 @@ class FileBaseValues(BaseValueProvider):
 
 
 class HodgeEngine:
-    """Both evaluation routes over one seed provider, fixed at construction."""
+    """Both evaluation routes over one seed provider, fixed at construction:
+    any object with base_value(genus, tag) -> Fraction, by default
+    DefaultBaseValues."""
 
-    def __init__(self, provider: BaseValueProvider | None = None):
+    def __init__(self, provider=None):
         self._provider = provider or DefaultBaseValues()
         self._pure_memo: dict[tuple[str, int, tuple[int, ...]], Fraction] = {}
         self._direct_memo: dict[
@@ -149,12 +144,11 @@ class HodgeEngine:
         ] = {}
 
     def pure_pairing(self, genus: int, tag: str, psi) -> Fraction:
-        genus, tag, _, exps = self._canonical(genus, tag, ZERO, psi)
-        return self._pure(genus, tag, exps)
+        return self._pure(genus, tag, self._canonical(genus, psi))
 
     def correlator(self, genus: int, tag: str, kappa: MultiIndex = ZERO, psi=()) -> Fraction:
         """Primary route: kappa factors traded for signed descendants."""
-        genus, tag, kappa, exps = self._canonical(genus, tag, kappa, psi)
+        exps = self._canonical(genus, psi)
         if self._gated(genus, tag, kappa, exps):
             return Fraction(0)
         total = Fraction(0)
@@ -168,13 +162,14 @@ class HodgeEngine:
         self, genus: int, tag: str, kappa: MultiIndex = ZERO, psi=()
     ) -> Fraction:
         """Direct route: kappa factors consumed by the table recursion."""
-        return self._direct(*self._canonical(genus, tag, kappa, psi))
+        return self._direct(genus, tag, kappa, self._canonical(genus, psi))
 
     @staticmethod
-    def _canonical(genus, tag, kappa, psi):
+    def _canonical(genus: int, psi) -> tuple[int, ...]:
+        """Descending exponents; the genus must be >= 1, each exponent >= 0."""
         if genus < 1:
             raise ValueError(f"pairings need genus >= 1, got {genus}")
-        return genus, tag, kappa, descending(psi)
+        return descending(psi)
 
     @staticmethod
     def _gated(genus, tag, kappa, exps) -> bool:
@@ -288,7 +283,7 @@ def _two_point_terms(
 
 def check_pairing_reduction(
     engine: HodgeEngine, genus: int, tag: str, d: int, d0: int, rest
-) -> IdentityReport:
+) -> tuple[Fraction, Fraction]:
     """Two-distinguished-insertions rule on pure pairings, checked literally.
 
     The pair (d, d0) is any two insertions, not only the two largest that
@@ -304,4 +299,4 @@ def check_pairing_reduction(
     rhs = Fraction(0)
     for coeff, merged in _two_point_terms(tag, d, d0, others, 0):
         rhs += coeff * engine.pure_pairing(genus, tag, merged)
-    return IdentityReport(lhs == rhs, lhs, rhs)
+    return lhs, rhs

@@ -11,13 +11,14 @@ consistency check, not a tautology.
 
 The pure descendant values are kept as the integers
 N(g, d) = 2^(4g - 2 + n) prod (2d_i + 1)!! <tau_d>_g, so the DVV recursion
-never divides. kmz_expand stays on integers as well: per kappa it caches
-one table of int coefficients c_t over a common scale, one per distinct
-set of extra exponents, adds c_t N(g, exps + extra_t) as ints, and makes
-its single division, by
-scale 2^(4g - 2 + n) prod (2d_i + 1)!!, when it builds the one Fraction it
-returns. A pure descendant value is kmz_expand at kappa = 0, whose table
-is the one term c = 1 with no extra exponents over scale 1.
+never divides; its seeds N(0, (0, 0, 0)) = 2 and N(1, (1,)) = 1 are the
+memo's first entries. kmz_expand stays on integers as well: per kappa it
+caches one table of int coefficients c_t over a common scale, one per
+distinct set of extra exponents, adds c_t N(g, exps + extra_t) as ints, and
+makes its single division, by scale 2^(4g - 2 + n) prod (2d_i + 1)!!, when
+it builds the one Fraction it returns. A pure descendant value is
+kmz_expand at kappa = 0, whose table is the one term c = 1 with no extra
+exponents over scale 1.
 
 The DVV genus-drop and split terms come in mirror pairs: with
 r + s = d_1 - 2, the term at r and the one at s (for a split, with I and J
@@ -55,12 +56,9 @@ def kappa_partition_terms(
     found = _partition_terms_cache.get(kappa)
     if found is not None:
         return found
-    if not kappa:
-        terms: tuple[tuple[Fraction, tuple[int, ...]], ...] = ((Fraction(1), ()),)
-        return _partition_terms_cache.setdefault(kappa, terms)
     q = kappa.length
     collected: list[tuple[Fraction, tuple[int, ...]]] = []
-    for k in range(1, q + 1):
+    for k in range(q + 1):
         sign = -1 if (q - k) % 2 else 1
         base = Fraction(sign, math.factorial(k))
         for parts, ways in ordered_nonempty_partitions(kappa, k):
@@ -73,7 +71,10 @@ class KmzOracle:
     """Mixed correlators by reduction to pure descendant integrals."""
 
     def __init__(self) -> None:
-        self._psi_memo: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._psi_memo: dict[tuple[int, tuple[int, ...]], int] = {
+            (0, (0, 0, 0)): 2,
+            (1, (1,)): 1,
+        }
         self._expansions: dict[
             MultiIndex, tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]
         ] = {}
@@ -104,10 +105,6 @@ class KmzOracle:
         """
         if sum(exps) != moduli_dim(genus, len(exps)):
             return 0
-        if genus == 0 and exps == (0, 0, 0):
-            return 2
-        if genus == 1 and exps == (1,):
-            return 1
         key = (genus, exps)
         found = self._psi_memo.get(key)
         if found is not None:

@@ -107,9 +107,6 @@ class MultiIndex:
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self._entries)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiIndex):
             return NotImplemented

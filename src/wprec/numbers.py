@@ -5,9 +5,8 @@ growing tables, which only ever grow by appending the next entry. The
 package starts no threads, so the tables take no lock.
 Everything returns ints or Fractions, never floats. moduli_dim is the one
 stability and dimension gate that every route applies, descending the one
-canonical psi form, and IdentityReport the result type of the identity
-checks; they live here, in the one module that every route imports, so
-that no route has to import another.
+canonical psi form; both live here, in the one module that every route
+imports, so that no route has to import another.
 
 add_ratio is the arithmetic under the hot kernels of every route: a kernel
 adds its terms as an unreduced integer pair (numerator, denominator) and
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 # _DFACT[k + 1] == k!!, seeded with (-1)!! = 0!! = 1.
 _DFACT: list[int] = [1, 1]
@@ -31,10 +29,9 @@ def double_factorial(k: int) -> int:
         # Must be checked before the table lookup: _DFACT[k + 1] with
         # k <= -2 would silently index from the end of the list.
         raise ValueError(f"double factorial undefined for {k}")
-    if k + 1 >= len(_DFACT):
-        while k + 1 >= len(_DFACT):
-            n = len(_DFACT) - 1
-            _DFACT.append(n * _DFACT[n - 1])
+    while k + 1 >= len(_DFACT):
+        n = len(_DFACT) - 1
+        _DFACT.append(n * _DFACT[n - 1])
     return _DFACT[k + 1]
 
 
@@ -55,12 +52,6 @@ def descending(psi) -> tuple[int, ...]:
     if exps and exps[-1] < 0:
         raise ValueError(f"negative psi exponent in {exps}")
     return exps
-
-
-class IdentityReport(NamedTuple):
-    equal: bool
-    lhs: Fraction
-    rhs: Fraction
 
 
 def add_ratio(num: int, den: int, xn: int, xd: int) -> tuple[int, int]:
@@ -91,13 +82,12 @@ def bernoulli(m: int) -> Fraction:
         raise ValueError(f"Bernoulli number undefined for {m}")
     if m >= 3 and m % 2 == 1:
         raise ValueError(f"odd Bernoulli numbers vanish; refusing B_{m}")
-    if m >= len(_BERNOULLI):
-        while m >= len(_BERNOULLI):
-            j = len(_BERNOULLI)
-            acc = Fraction(0)
-            for i in range(j):
-                acc += math.comb(j + 1, i) * _BERNOULLI[i]
-            _BERNOULLI.append(-acc / (j + 1))
+    while m >= len(_BERNOULLI):
+        j = len(_BERNOULLI)
+        acc = Fraction(0)
+        for i in range(j):
+            acc += math.comb(j + 1, i) * _BERNOULLI[i]
+        _BERNOULLI.append(-acc / (j + 1))
     return _BERNOULLI[m]
 
 
@@ -111,12 +101,11 @@ def euler_number(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"Euler number index must be >= 0, got {n}")
-    if n >= len(_EULER):
-        while n >= len(_EULER):
-            m = len(_EULER)
-            acc = 0
-            for j in range(1, m + 1):
-                term = math.comb(2 * m, 2 * j) * _EULER[m - j]
-                acc += term if j % 2 == 1 else -term
-            _EULER.append(acc)
+    while n >= len(_EULER):
+        m = len(_EULER)
+        acc = 0
+        for j in range(1, m + 1):
+            term = math.comb(2 * m, 2 * j) * _EULER[m - j]
+            acc += term if j % 2 == 1 else -term
+        _EULER.append(acc)
     return _EULER[n]

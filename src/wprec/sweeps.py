@@ -19,10 +19,6 @@ from .numbers import moduli_dim
 
 def psi_lists(total: int, n: int) -> Iterator[tuple[int, ...]]:
     """Descending exponent tuples of length n summing to total."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
     for shape in partitions(total):
         if len(shape) <= n:
             yield shape + (0,) * (n - len(shape))
@@ -125,8 +121,6 @@ def pairing_reduction_cases(
             for extra in range(3):
                 n = extra + 2
                 degree = pairing_degree(tag, genus, n)
-                if degree < 0:
-                    continue
                 for d in range(degree + 1):
                     for d0 in range(degree - d + 1):
                         leftover = degree - d - d0

@@ -12,9 +12,10 @@ The n >= 1 recursion inducts on (g, length(b)) lexicographically. Its
 genus-preserving terms (separating splits minus merges) are one method,
 VolumeEngine._bracket, which serves both the recursion and the expanded
 genus ladder of check_expanded_volume. The insertion-free counterpart
-(g >= 2) inducts on length(b) alone, landing in n >= 1 volumes. A kappa
-factor of index zero is a scalar 2g - 2 + n, never a multi-index entry;
-_times_kappa keeps that case separate.
+(g >= 2) inducts on length(b) alone, landing in n >= 1 volumes; one memo,
+keyed (g, n, kappa), holds both, with n = 0 when closed. A kappa factor of
+index zero is a scalar 2g - 2 + n, never a multi-index entry; _times_kappa
+keeps that case separate.
 
 Both recursions solve the dimension count instead of scanning terms that it
 sets to zero. In _bracket the split V_{g_i,r+2}(L) V_{g-g_i,n+1-r}(L') is
@@ -47,15 +48,14 @@ from .multiindex import (
     delta,
     splits2,
 )
-from .numbers import IdentityReport, add_ratio, double_factorial, moduli_dim
+from .numbers import add_ratio, double_factorial, moduli_dim
 
 
 class VolumeEngine:
     """Self-contained evaluator for the volume recursions."""
 
     def __init__(self) -> None:
-        self._open_memo: dict[tuple[int, int, MultiIndex], Fraction] = {}
-        self._closed_memo: dict[tuple[int, MultiIndex], Fraction] = {}
+        self._memo: dict[tuple[int, int, MultiIndex], Fraction] = {}
 
     def volume(self, genus: int, n: int, kappa: MultiIndex = ZERO) -> Fraction:
         """V_{g,n}(kappa(b)); zero off-dimension or on unstable (g, n)."""
@@ -68,20 +68,20 @@ class VolumeEngine:
         if n == 0:
             return self.volume_closed(genus, kappa)
         key = (genus, n, kappa)
-        found = self._open_memo.get(key)
+        found = self._memo.get(key)
         if found is not None:
             return found
         if genus == 0 and kappa.length <= 1:
             # The dimension gate already forces kappa = 0 with n = 3, or a
             # single index n - 3: both integrate to 1.
-            return self._open_memo.setdefault(key, Fraction(1))
+            return self._memo.setdefault(key, Fraction(1))
 
         num, den = self._bracket(genus, n, kappa).as_integer_ratio()
         if genus >= 1:
             vn, vd = self.volume(genus - 1, n + 3, kappa).as_integer_ratio()
             num, den = add_ratio(num, den, vn, 12 * vd)
         result = Fraction(num, den * (2 * genus - 1 + kappa.length))
-        return self._open_memo.setdefault(key, result)
+        return self._memo.setdefault(key, result)
 
     def _bracket(self, genus: int, n: int, kappa: MultiIndex) -> Fraction:
         """Genus-preserving terms of the n >= 1 recursion: over L + L' = kappa,
@@ -121,8 +121,8 @@ class VolumeEngine:
             raise ValueError(f"closed volumes need genus >= 2, got {genus}")
         if kappa.weight != moduli_dim(genus, 0):
             return Fraction(0)
-        key = (genus, kappa)
-        found = self._closed_memo.get(key)
+        key = (genus, 0, kappa)
+        found = self._memo.get(key)
         if found is not None:
             return found
 
@@ -163,22 +163,22 @@ class VolumeEngine:
 
         prefactor = (2 * genus - 1) * (2 * genus - 2) + (4 * genus - 3) * q + q * q
         result = Fraction(total_n, total_d * prefactor)
-        return self._closed_memo.setdefault(key, result)
+        return self._memo.setdefault(key, result)
 
     def _times_kappa(
         self, genus: int, n: int, m: MultiIndex, a: int
     ) -> tuple[int, int]:
         """V_{g,n}(kappa(m) kappa_a) with the index-zero scalar convention,
         as an integer pair (numerator, positive denominator)."""
-        if genus < 0:
-            return 0, 1
         if a == 0:
             num, den = self.volume(genus, n, m).as_integer_ratio()
             return (2 * genus - 2 + n) * num, den
         return self.volume(genus, n, m + delta(a)).as_integer_ratio()
 
 
-def check_expanded_volume(volumes: VolumeEngine, genus: int, n: int, kappa) -> IdentityReport:
+def check_expanded_volume(
+    volumes: VolumeEngine, genus: int, n: int, kappa
+) -> tuple[Fraction, Fraction]:
     """Compare the recursion against its fully expanded genus ladder.
 
     The expansion trades every genus-lowering step at once: a delta term for
@@ -211,5 +211,5 @@ def check_expanded_volume(volumes: VolumeEngine, genus: int, n: int, kappa) -> I
                 )
                 * bracket
             )
-    return IdentityReport(lhs == rhs, lhs, rhs)
+    return lhs, rhs
 

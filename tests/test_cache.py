@@ -1,5 +1,6 @@
 """Cache file format: roundtrips, append-only behaviour, validation."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -52,7 +53,7 @@ def test_conflicting_save_rejected(tmp_path):
         save_new_records(path, {_key("1||1"): Fraction(1, 25)})
 
 
-def test_load_validation(tmp_path):
+def test_load_validation(capsys, tmp_path):
     path = tmp_path / "bad.cache"
     path.write_text("wrong header\n")
     with pytest.raises(ValueError, match=r"bad\.cache:1"):
@@ -75,6 +76,14 @@ def test_load_validation(tmp_path):
     # A duplicate with the same value is tolerated.
     path.write_text(f"{CACHE_HEADER}\n1||1\t1/24\n1||1\t1/24\n")
     assert load_cache(path) == {_key("1||1"): Fraction(1, 24)}
+    # Exponent lists are read by the rule of --psi: no empty chunk.
+    for record, psi in [("2||3,,2\t29/5760", "3,,2"), ("1||,1\t1/24", ",1")]:
+        path.write_text(f"{CACHE_HEADER}\n{record}\n")
+        message = f"{path}:2: bad psi list {psi!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_cache(path)
+        argv = ("verify", "--suite", "cache", "--cache", str(path))
+        assert run(capsys, *argv) == (2, "", f"wprec: {message}\n")
 
 
 def test_seed_engine_short_circuits_computation(tmp_path):

@@ -1,10 +1,14 @@
 """What verify prints: FAIL lines that name the right sides and the position
 of the first mismatch, and usage errors for negative sizes."""
 
+from fractions import Fraction
+
 import pytest
 
 import wprec.series
 from conftest import run
+from wprec.correlator import CorrelatorEngine
+from wprec.kmz import KmzOracle
 
 
 def test_shift_fail_line_labels_and_position(capsys, monkeypatch):
@@ -23,6 +27,15 @@ def test_shift_fail_line_labels_and_position(capsys, monkeypatch):
         "FAIL after 6 cases: monomial ((0, 0, 0), (2, 0, 0, 1, 0)):"
         " mixed 49/48 != shifted pure 1/48\n"
     )
+
+
+def test_oracle_fail_line_on_a_value_that_is_not_positive(capsys, monkeypatch):
+    # Both routes give 0, so they agree and only the positivity check fails.
+    monkeypatch.setattr(CorrelatorEngine, "correlator", lambda *a: Fraction(0))
+    monkeypatch.setattr(KmzOracle, "kmz_expand", lambda *a: Fraction(0))
+    code, out, err = run(capsys, "verify", "--suite", "oracle")
+    assert code == 1 and err == ""
+    assert out == "FAIL after 1 cases: 0||0,0,0: expected a positive value, got 0\n"
 
 
 def test_cache_fail_line_gives_position(capsys, tmp_path):
