@@ -4,9 +4,11 @@ Both kernels solve the genus of a separating split from the dimension
 instead of scanning every r, and fold their integer weights before they
 touch a Fraction; the DVV kernel runs on integer numerators N(g, d). The
 references here scan every r, take one Fraction per factor, and must give
-the same exact values. Last, three inputs that are refused with exit 2: an
-unstable or off-dimension cache record, a provider line that contradicts an
-earlier one, and a --decimal outside 0..1000.
+the same exact values. Also: every value leaves the package as a Fraction
+(0.0 == Fraction(0), so equality alone would hide a float). Last, three
+inputs that are refused with exit 2: an unstable or off-dimension cache
+record, a provider line that contradicts an earlier one, and a --decimal
+outside 0..1000.
 """
 
 from fractions import Fraction
@@ -145,6 +147,21 @@ def test_integer_dvv_equals_the_fraction_recursion():
     # More than the two seeds the memo starts with.
     assert len(oracle._psi_memo) > 2
     assert all(type(v) is int for v in oracle._psi_memo.values())
+
+
+def test_every_value_is_a_fraction_zeros_included():
+    engine = CorrelatorEngine()
+    oracle = KmzOracle()
+    zeros = 0
+    for shell in (0, 1):
+        for g, b, d in correlator_signatures(7, min_n=0, shell=shell):
+            values = [engine.correlator(g, b, d), oracle.kmz_expand(g, b, d)]
+            if not b:
+                values.append(oracle.pure_psi(g, d))
+            for v in values:
+                assert type(v) is Fraction, (g, b, d, v)
+            zeros += values[0] == 0
+    assert zeros > 1000
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
-"""The bookkeeping of the volume kernel: the single entry that delta builds
-through its trusted constructor, and the genus-preserving bracket whose
-point count r is solved from the dimension rather than scanned. The sides
-and counts of splits2 are checked in test_multiindex."""
+"""The bookkeeping of the volume kernel: the weight and length that splits2
+carries through its trusted constructor and the count C(b, L) it yields with
+each split, and the genus-preserving bracket
+whose point count r is solved from the dimension rather than scanned."""
 
 import itertools
 from fractions import Fraction
@@ -9,7 +9,13 @@ from math import comb
 
 import pytest
 
-from wprec.multiindex import MultiIndex, delta, multi_binomial
+from wprec.multiindex import (
+    MultiIndex,
+    delta,
+    indices_of_weight,
+    multi_binomial,
+    splits2,
+)
 from wprec.sweeps import volume_signatures
 from wprec.volumes import VolumeEngine
 
@@ -45,6 +51,30 @@ def reference_bracket(volumes, genus, n, kappa):
                     * volumes.volume(genus - gi, n + 1 - r, right)
                 )
     return total
+
+
+def test_splits2_sides_match_the_checked_constructor():
+    for w in range(9):
+        for b in indices_of_weight(w):
+            triples = list(splits2(b))
+            pairs = [(left, right) for left, right, _ in triples]
+            expected = list(reference_splits(b))
+            assert pairs == expected, b
+            for left, _, ways in triples:
+                assert ways == multi_binomial(b, left), (b, left)
+            count = 1
+            for _, m in b.entries:
+                count *= m + 1
+            assert len(pairs) == count, b
+            for got, want in zip(
+                itertools.chain.from_iterable(pairs),
+                itertools.chain.from_iterable(expected),
+            ):
+                assert got.entries == want.entries
+                assert (got.weight, got.length) == (want.weight, want.length)
+                assert hash(got) == hash(want)
+            for left, right in pairs:
+                assert left + right == b
 
 
 def test_delta_is_the_checked_single_entry():
