@@ -18,12 +18,13 @@ so the engine's memo only ever holds signatures its dimension gate
 admits.  ``wprec verify --suite cache`` recomputes every record with a
 fresh engine.
 
-Every line, the header included, ends in a newline.  A final line without
-one is what a crash in the middle of an append leaves behind, so it is not
-trusted: ``load_cache`` drops it with one ``wprec: warning: PATH:LINE: ...``
-line on stderr, and ``save_new_records`` cuts it off before it appends.  The
-value it held is recomputed.  A file without a complete header line is
-refused.
+Every line, the header included, ends in a newline, and none is blank:
+the writer never writes one, so a blank line is a load error.  A final
+line without one is what a crash in the middle of an append leaves
+behind, so it is not trusted: ``load_cache`` drops it with one
+``wprec: warning: PATH:LINE: ...`` line on stderr, and
+``save_new_records`` cuts it off before it appends.  The value it held is
+recomputed.  A file without a complete header line is refused.
 """
 
 from __future__ import annotations
@@ -85,8 +86,6 @@ def _read_records(
         raise ValueError(f"{path}:1: expected header {CACHE_HEADER!r}")
     records: dict[CorrelatorKey, Fraction] = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected '<key>\\t<num/den>'")

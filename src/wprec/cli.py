@@ -5,7 +5,7 @@ Subcommands:
 * ``compute``: one mixed correlator, exact.
 * ``volume``: one intersection volume, open (n >= 1) or closed (n = 0).
 * ``hodge``: one pairing against the top Hodge weightings.
-* ``table``: constant or volume tables as csv (default) or json.
+* ``table``: constant or volume tables as csv, or json with ``--json``.
 * ``verify``: named consistency sweeps; exits 1 when any finds a mismatch.
 
 Values print as exact fractions.  ``--decimal N`` switches the printed
@@ -498,9 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--max-weight", type=_size)
     table.add_argument("--max-genus", type=_size)
     table.add_argument("--max-n", type=_size)
-    form = table.add_mutually_exclusive_group()
-    form.add_argument("--csv", action="store_true", help="the default")
-    form.add_argument("--json", action="store_true")
+    table.add_argument("--json", action="store_true", help="json instead of csv")
     table.set_defaults(func=_cmd_table)
 
     verify = sub.add_parser("verify", help="run consistency sweeps")

@@ -30,16 +30,16 @@ split.
 Sub-values are read from the memo with plain (g, kappa, psi) tuples, and a
 CorrelatorKey is built only when a lookup misses.
 
-One L's terms, its bracket, hold kappa(L') and the pivot exponent
-d + wt(L). On shell wt(L) = 3g - 3 + n - sum(d) - wt(L') is fixed by the
-rest, so the bracket depends only on (g, L', d, pivot) and is shared by
-every b that contains L' with the same weight. Each engine keeps its
-brackets under that key in its own table, as gcd-reduced integer pairs:
-per engine because they hold sub-values, which depend on the alpha table,
-and keyed on the pivot because correlator_via_pivot runs other pivots on a
-warm engine. Brackets with wt(L) <= 1 are not kept: L is then the only
-index of its weight, so no other b reads them. The value cache never
-stores brackets.
+The pivot is the first exponent of d: _value passes the canonical tuple,
+and correlator_via_pivot moves its chosen exponent to the front. One L's
+terms, its bracket, hold kappa(L') and the pivot exponent d_1 + wt(L). On
+shell wt(L) = 3g - 3 + n - sum(d) - wt(L') is fixed by the rest, so the
+bracket depends only on (g, L', d) and is shared by every b that contains
+L' with the same weight. Each engine keeps its brackets under that key in
+its own table, as gcd-reduced integer pairs: per engine because they hold
+sub-values, which depend on the alpha table. Brackets with wt(L) <= 1 are
+not kept: L is then the only index of its weight, so no other b reads
+them. The value cache never stores brackets.
 
 Insertion-free correlators (n = 0, forced g >= 2) are first traded for
 one-point ones through the signed dilaton-type relation
@@ -125,7 +125,7 @@ class CorrelatorEngine:
     def __init__(self, alpha_table: ConstantTable | None = None):
         self._alpha = (alpha_table or ALPHA).value
         self.memo: dict[CorrelatorKey, Fraction] = {}
-        # (g, L', d, pivot) -> one L's bracket; see the module docstring.
+        # (g, L', d) -> one L's bracket; see the module docstring.
         self.brackets: dict[tuple, tuple[int, int]] = {}
 
     def correlator(self, genus: int, kappa: MultiIndex = ZERO, psi=()) -> Fraction:
@@ -138,19 +138,20 @@ class CorrelatorEngine:
 
         The recursion is valid around any distinguished insertion, not just
         the largest; `pivot` is a position into the canonical descending
-        exponent tuple. Seeds, n = 0 and off-shell signatures take their usual
-        route.
+        exponent tuple, and that exponent moves to the front. Seeds, n = 0
+        and off-shell signatures take their usual route.
         """
         key = CorrelatorKey.make(genus, kappa, psi)
-        if key.psi and not 0 <= pivot < len(key.psi):
-            raise ValueError(f"pivot {pivot} out of range for {key.psi}")
+        d = key.psi
+        if d and not 0 <= pivot < len(d):
+            raise ValueError(f"pivot {pivot} out of range for {d}")
         if (
-            not key.psi
+            not d
             or key in INITIAL_VALUES
-            or key.kappa.weight + sum(key.psi) != moduli_dim(genus, len(key.psi))
+            or kappa.weight + sum(d) != moduli_dim(genus, len(d))
         ):
             return self._value(key)
-        return self._pivot_eval(key.genus, key.kappa, key.psi, pivot)
+        return self._pivot_eval(genus, kappa, (d[pivot],) + d[:pivot] + d[pivot + 1 :])
 
     def _value(self, key: CorrelatorKey) -> Fraction:
         found = self.memo.get(key)
@@ -166,14 +167,12 @@ class CorrelatorEngine:
         if n == 0:
             result = _signed_point_sum(self, g, b, (), 1) / (2 * g - 2)
         else:
-            result = self._pivot_eval(g, b, d, 0)
+            result = self._pivot_eval(g, b, d)
         return self.memo.setdefault(key, result)
 
-    def _pivot_eval(
-        self, g: int, b: MultiIndex, d: tuple[int, ...], pivot: int
-    ) -> Fraction:
-        dp = d[pivot]
-        others = d[:pivot] + d[pivot + 1 :]
+    def _pivot_eval(self, g: int, b: MultiIndex, d: tuple[int, ...]) -> Fraction:
+        dp = d[0]
+        others = d[1:]
         alpha = self._alpha
         value = self._value
         memo_get = self.memo.get
@@ -201,11 +200,8 @@ class CorrelatorEngine:
 
         total_n, total_d = 0, 1
         for left, rest_kappa, cb in splits2(b):
-            a = alpha(left)
-            if not a:
-                continue
             # On shell wt(L) is fixed by (g, L', d), so the key omits L.
-            key = (g, rest_kappa, d, pivot)
+            key = (g, rest_kappa, d)
             bracket = brackets.get(key)
             if bracket is None:
                 base = left.weight + dp
@@ -258,11 +254,7 @@ class CorrelatorEngine:
                                 weight = cm * odd[r]
                                 for part_i, part_j, ways in group:
                                     fn, fd = read(gi, mid, part_i + (r,))
-                                    if not fn:
-                                        continue
                                     sn, sd = read(g - gi, rest, part_j + (s,))
-                                    if not sn:
-                                        continue
                                     acc_n, acc_d = add_ratio(
                                         acc_n, acc_d, weight * ways * fn * sn, fd * sd
                                     )
@@ -274,7 +266,7 @@ class CorrelatorEngine:
                     brackets[key] = bracket
             acc_n, acc_d = bracket
             if acc_n:
-                an, ad = a.as_integer_ratio()
+                an, ad = alpha(left).as_integer_ratio()
                 total_n, total_d = add_ratio(
                     total_n,
                     total_d,

@@ -32,6 +32,10 @@ with psi_(n+1) D_j = 0, and push(psi_(n+1)^(a+1)) = kappa_a.
 The two-insertions rule is written once, as _two_point_terms, and serves the
 pure recursion, the direct route and check_pairing_reduction; the string
 step of both routes is the one generator _lowered.
+
+Each engine keeps one memo keyed (tag, genus, kappa, exps). The pure
+recursion writes kappa = ZERO, and the direct route hands kappa = 0 to it
+before reading the memo, so the two routes never share a key.
 """
 
 from __future__ import annotations
@@ -138,10 +142,7 @@ class HodgeEngine:
 
     def __init__(self, provider=None):
         self._provider = provider or DefaultBaseValues()
-        self._pure_memo: dict[tuple[str, int, tuple[int, ...]], Fraction] = {}
-        self._direct_memo: dict[
-            tuple[str, int, MultiIndex, tuple[int, ...]], Fraction
-        ] = {}
+        self._memo: dict[tuple[str, int, MultiIndex, tuple[int, ...]], Fraction] = {}
 
     def pure_pairing(self, genus: int, tag: str, psi) -> Fraction:
         return self._pure(genus, tag, self._canonical(genus, psi))
@@ -181,8 +182,8 @@ class HodgeEngine:
         n = len(exps)
         if sum(exps) != pairing_degree(tag, genus, n):
             return Fraction(0)
-        key = (tag, genus, exps)
-        found = self._pure_memo.get(key)
+        key = (tag, genus, ZERO, exps)
+        found = self._memo.get(key)
         if found is not None:
             return found
 
@@ -198,7 +199,7 @@ class HodgeEngine:
             result = Fraction(0)
             for coeff, merged in _two_point_terms(tag, exps[0], exps[1], exps[2:], 0):
                 result += coeff * self._pure(genus, tag, merged)
-        return self._pure_memo.setdefault(key, result)
+        return self._memo.setdefault(key, result)
 
     def _direct(
         self, genus: int, tag: str, kappa: MultiIndex, exps: tuple[int, ...]
@@ -208,7 +209,7 @@ class HodgeEngine:
         if not kappa:
             return self._pure(genus, tag, exps)
         key = (tag, genus, kappa, exps)
-        found = self._direct_memo.get(key)
+        found = self._memo.get(key)
         if found is not None:
             return found
 
@@ -245,13 +246,11 @@ class HodgeEngine:
             result = Fraction(0)
             for left, right, cb in splits2(kappa):
                 gcb = gamma(left) * cb
-                if not gcb:
-                    continue
                 for coeff, merged in _two_point_terms(
                     tag, exps[0], exps[1], exps[2:], left.weight
                 ):
                     result += gcb * coeff * self._direct(genus, tag, right, merged)
-        return self._direct_memo.setdefault(key, result)
+        return self._memo.setdefault(key, result)
 
 
 def _lowered(exps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

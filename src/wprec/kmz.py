@@ -119,14 +119,11 @@ class KmzOracle:
             if v not in removed:
                 removed[v] = others[:pos] + others[pos + 1 :]
         for v, rest in removed.items():
-            merged = d1 + v - 1
-            if merged < 0:
-                continue
             total += (
                 2
                 * others.count(v)
                 * (2 * v + 1)
-                * self._scaled(genus, tuple(sorted(rest + (merged,), reverse=True)))
+                * self._scaled(genus, tuple(sorted(rest + (d1 + v - 1,), reverse=True)))
             )
 
         if d1 >= 2:
@@ -147,8 +144,6 @@ class KmzOracle:
                 for r in range(low, min(top_r, 3 * genus - dim_i) + 1, 3):
                     gi = (dim_i + r) // 3
                     left = self._scaled(gi, tuple(sorted(part_i + (r,), reverse=True)))
-                    if not left:
-                        continue
                     s = d1 - 2 - r
                     right = self._scaled(
                         genus - gi, tuple(sorted(part_j + (s,), reverse=True))

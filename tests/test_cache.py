@@ -76,10 +76,15 @@ def test_load_validation(capsys, tmp_path):
     # A duplicate with the same value is tolerated.
     path.write_text(f"{CACHE_HEADER}\n1||1\t1/24\n1||1\t1/24\n")
     assert load_cache(path) == {_key("1||1"): Fraction(1, 24)}
-    # Exponent lists are read by the rule of --psi: no empty chunk.
-    for record, psi in [("2||3,,2\t29/5760", "3,,2"), ("1||,1\t1/24", ",1")]:
-        path.write_text(f"{CACHE_HEADER}\n{record}\n")
-        message = f"{path}:2: bad psi list {psi!r}"
+    # Exponent lists are read by the rule of --psi: no empty chunk. The
+    # writer never leaves a blank line, so one inside the file is malformed.
+    for body, error in [
+        ("2||3,,2\t29/5760\n", "2: bad psi list '3,,2'"),
+        ("1||,1\t1/24\n", "2: bad psi list ',1'"),
+        ("1||1\t1/24\n\n2||4\t1/1152\n", "3: expected '<key>\\t<num/den>'"),
+    ]:
+        path.write_text(f"{CACHE_HEADER}\n{body}")
+        message = f"{path}:{error}"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_cache(path)
         argv = ("verify", "--suite", "cache", "--cache", str(path))

@@ -138,6 +138,8 @@ def test_table_constants(capsys):
     )
     data = json.loads(out)
     assert {"weight": 1, "kappa": "1:1", "value": "1/3"} in data
+    # csv is the only other form, so it has no flag of its own.
+    assert run(capsys, "table", "--csv", "--constants", "alpha")[0] == 2
 
 
 def test_table_volumes(capsys):

@@ -82,9 +82,16 @@ def test_gates(oracle):
     assert oracle.pure_psi(0, (1, 0, 0)) == 0
     assert oracle.pure_psi(1, (0,)) == 0
     assert oracle.pure_psi(0, (0, 0)) == 0
-    assert oracle.kmz_expand(0, delta(1), (0, 0, 0)) == 0
-    assert oracle.kmz_expand(1, delta(1), (1,)) == 0
-    assert oracle.kmz_expand(1, ZERO, ()) == 0
+    for genus, kappa, psi in [
+        (0, ZERO, (1, 0, 0)),
+        (1, ZERO, (0,)),
+        (0, ZERO, (0, 0)),
+        (0, delta(1), (0, 0, 0)),
+        (1, delta(1), (1,)),
+        (1, ZERO, ()),
+    ]:
+        assert oracle.kmz_expand(genus, kappa, psi) == 0
+        assert oracle.kmz_expand_unordered(genus, kappa, psi) == 0
     with pytest.raises(ValueError):
         oracle.pure_psi(-1, ())
     with pytest.raises(ValueError):
